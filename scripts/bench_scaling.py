@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Sweep the full target-family scan over a range of n and fit the wall-time
-exponent.  Writes a CSV next to the fitted slope on stdout.
+"""Sweep the paper's per-target window scan over a range of n and fit the
+wall-time exponent.  Writes a CSV next to the fitted slope on stdout.
 
 Usage: python scripts/bench_scaling.py [--n 64,128,256,512] [--out bench.csv]
 """

@@ -44,7 +44,6 @@ class RunConfig:
     rho: Fraction | None = None
     seed: int = 0
     oracle_cap: int = 26
-    threads: int = 1
     budget_cells: int | None = None
     leaf_budget: int = 10_000_000
 
@@ -61,7 +60,6 @@ def config_from_args(args) -> RunConfig:
         rho=getattr(args, "rho", None),
         seed=getattr(args, "seed", 0),
         oracle_cap=getattr(args, "cap", 26),
-        threads=getattr(args, "threads", 1),
         leaf_budget=getattr(args, "leaf_budget", 10_000_000),
     )
 
@@ -79,6 +77,20 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+
+
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+_THREADS_HELP = ("accepted for compatibility; a decision runs one table on one "
+                 "thread, so the value changes neither the result nor the run")
 
 
 def _int_list(text: str) -> list[int]:
@@ -111,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     fptas = sub.add_parser("solve-fptas", help="tolerance-driven slab decision")
     fptas.add_argument("--in", dest="in_path", required=True)
     fptas.add_argument("--epsilon", type=_fraction, required=True)
-    fptas.add_argument("--threads", type=int, default=1)
+    fptas.add_argument("--threads", type=_thread_count, default=1, help=_THREADS_HELP)
     fptas.add_argument("--out")
 
     dec = sub.add_parser("decide-slab", help="two-alternative decision at a fixed scale")
@@ -119,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     scale = dec.add_mutually_exclusive_group(required=True)
     scale.add_argument("--c", type=int)
     scale.add_argument("--big-n", type=int)
-    dec.add_argument("--threads", type=int, default=1)
+    dec.add_argument("--threads", type=_thread_count, default=1, help=_THREADS_HELP)
     dec.add_argument("--out")
 
     ss = sub.add_parser("solve-sssp", help="simultaneous-constraint grid search")
@@ -127,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     ss.add_argument("--eps-b", type=float, default=None)
     ss.add_argument("--leaf-budget", type=int, default=10_000_000)
     ss.add_argument("--c", type=int, default=2)
-    ss.add_argument("--threads", type=int, default=1)
     ss.add_argument("--out")
 
     orc = sub.add_parser("oracle", help="brute-force enumeration report")
@@ -187,14 +198,14 @@ def _require_partition(inst) -> PartitionInstance:
 
 def _cmd_solve_fptas(args, cfg: RunConfig) -> int:
     inst = _require_partition(read_instance(cfg.in_path))
-    verdict = slab_mod.decide_epsilon(inst, cfg.epsilon, threads=cfg.threads)
+    verdict = slab_mod.decide_epsilon(inst, cfg.epsilon)
     _emit(slab_mod.verdict_to_json(verdict), cfg.out_path)
     return EXIT_ANOMALY if verdict.anomaly else EXIT_OK
 
 
 def _cmd_decide_slab(args, cfg: RunConfig) -> int:
     inst = _require_partition(read_instance(cfg.in_path))
-    verdict = slab_mod.decide(inst, c=cfg.c, big_n=cfg.big_n, threads=cfg.threads)
+    verdict = slab_mod.decide(inst, c=cfg.c, big_n=cfg.big_n)
     _emit(slab_mod.verdict_to_json(verdict), cfg.out_path)
     return EXIT_ANOMALY if verdict.anomaly else EXIT_OK
 

@@ -3,9 +3,14 @@
 Rows are bit sets: bit s of row k means some subset of items k..n sums to s.
 The suffix orientation makes "prefer excluding the earliest items"
 reconstruction produce the lexicographically smallest solution vector.
-A decision keeps one rolling row; reconstruction re-derives rows between
-checkpoints spaced ~sqrt(n) apart, so memory stays near O(sqrt(n) * target)
+A table keeps one rolling row; reconstruction re-derives rows between
+checkpoints spaced ~sqrt(n) apart, so memory stays near O(sqrt(n) * cap)
 bits while every answer remains exact.
+
+Bits at or below tau of a row do not depend on the cap once cap >= tau, so
+solve_family answers the whole shifted-target window from one table filled
+to the window top (the bitset-row formulation of subset sum; Pisinger,
+J. Algorithms 1999; Bringmann, SODA 2017).  dp_run answers one target.
 
 Two interchangeable row kernels produce bit-identical tables: plain Python
 ints for narrow rows, and preallocated numpy uint64 arrays for wide ones,
@@ -17,7 +22,6 @@ from __future__ import annotations
 import bisect
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .quantize import QuantizedNormal
@@ -70,6 +74,9 @@ class _IntKernel:
             return row
         return (row | (row << w)) & self.mask
 
+    def rebuild(self, row: int, w: int, slot: int) -> int:
+        return self.apply(row, w)
+
     @staticmethod
     def snapshot(row: int) -> int:
         return row
@@ -80,7 +87,8 @@ class _IntKernel:
 
 
 class _ArrayKernel:
-    """Rows as uint64 arrays; shift/or stream through two reused buffers."""
+    """Rows as uint64 arrays; shift/or stream through two reused buffers, and
+    rows rebuilt between checkpoints land in reused slot buffers."""
 
     def __init__(self, cap: int):
         self.cap = cap
@@ -88,6 +96,7 @@ class _ArrayKernel:
         self.top_mask = _np.uint64((1 << ((cap & 63) + 1)) - 1)
         self._sh = _np.zeros(self.words, _np.uint64)
         self._carry = _np.zeros(self.words, _np.uint64)
+        self._slots: list = []
 
     def one(self):
         row = _np.zeros(self.words, _np.uint64)
@@ -114,6 +123,16 @@ class _ArrayKernel:
         row[words - 1] &= self.top_mask
         return row
 
+    def rebuild(self, row, w: int, slot: int):
+        """apply() on a copy of row held in buffer `slot`, which the next
+        rebuild into that slot overwrites.  Slots are separate arrays made on
+        first use, so a table whose blocks stay short never holds stride rows."""
+        if slot == len(self._slots):
+            self._slots.append(_np.empty(self.words, _np.uint64))
+        out = self._slots[slot]
+        _np.copyto(out, row)
+        return self.apply(out, w)
+
     @staticmethod
     def snapshot(row):
         return row.copy()
@@ -127,82 +146,6 @@ def _make_kernel(cap: int):
     if _np is not None and cap + 1 >= ARRAY_KERNEL_MIN_BITS:
         return _ArrayKernel(cap)
     return _IntKernel(cap)
-
-
-# -- fused decision scan -------------------------------------------------------
-#
-# Pure existence queries (no reconstruction) run a single compiled loop with
-# one in-place row buffer: flat cost per table cell at every width, which the
-# interpreted kernels cannot offer.  Falls back to the kernels when numba is
-# unavailable; verdicts are identical either way.
-
-_jit_scan = None
-_jit_unavailable = False
-
-
-def _get_jit_scan():
-    global _jit_scan, _jit_unavailable
-    if _jit_scan is not None or _jit_unavailable:
-        return _jit_scan
-    try:
-        from numba import njit
-    except ImportError:
-        _jit_unavailable = True
-        return None
-
-    @njit(cache=True)
-    def scan(q_arr, r_arr, inv_arr, words, top_mask, tau, early_stop):
-        row = _np.zeros(words, _np.uint64)
-        row[0] = _np.uint64(1)
-        tau_word = tau >> 6
-        tau_bit = _np.uint64(tau & 63)
-        one = _np.uint64(1)
-        zero = _np.uint64(0)
-        rows = 0
-        for idx in range(q_arr.shape[0]):
-            q = q_arr[idx]
-            r = r_arr[idx]
-            rows += 1
-            if r == zero:
-                # descending order reads each source word before it is updated
-                for j in range(words - 1, q - 1, -1):
-                    row[j] |= row[j - q]
-            else:
-                inv = inv_arr[idx]
-                for j in range(words - 1, q, -1):
-                    row[j] |= (row[j - q] << r) | (row[j - q - 1] >> inv)
-                row[q] |= row[0] << r
-            row[words - 1] &= top_mask
-            if early_stop and (row[tau_word] >> tau_bit) & one:
-                return True, rows
-        return ((row[tau_word] >> tau_bit) & one) != zero, rows
-
-    _jit_scan = scan
-    return _jit_scan
-
-
-class _PreparedItems:
-    """Shift decomposition of the item weights, reusable across targets."""
-
-    def __init__(self, u):
-        self.u = tuple(u)
-        self.max_w = max(self.u, default=0)
-        self.q = _np.array([w >> 6 for w in self.u], _np.int64)
-        self.r = _np.array([w & 63 for w in self.u], _np.uint64)
-        self.inv = _np.array([(64 - (w & 63)) % 64 for w in self.u], _np.uint64)
-
-
-def _jit_decide(prepared: "_PreparedItems", tau: int, early_stop: bool,
-                scan) -> tuple[bool, int]:
-    """Existence verdict via the compiled scan; items above tau contribute
-    nothing and are dropped up front."""
-    if prepared.max_w > tau:
-        prepared = _PreparedItems([w for w in prepared.u if w <= tau])
-    words = (tau >> 6) + 1
-    top_mask = _np.uint64((1 << ((tau & 63) + 1)) - 1)
-    found, rows = scan(prepared.q, prepared.r, prepared.inv, words, top_mask,
-                       tau, early_stop)
-    return bool(found), int(rows)
 
 
 @dataclass(frozen=True)
@@ -279,7 +222,11 @@ class ReachTable:
         self._block: dict[int, object] = {}
 
     def reach(self, k: int):
-        """Row for items k..n; valid for k >= stopped_at (or 1 on a full run)."""
+        """Row for items k..n; valid for k >= stopped_at (or 1 on a full run).
+
+        A rebuilt row may share a buffer with the next block, so read it
+        before calling reach for a row outside the current block.
+        """
         row = self.checkpoints.get(k)
         if row is not None:
             return row
@@ -290,21 +237,36 @@ class ReachTable:
         cp = self._cp_keys[bisect.bisect_left(self._cp_keys, k)]
         self._block.clear()
         row = self.checkpoints[cp]
-        for j in range(cp - 1, k - 1, -1):
-            row = kern.apply(kern.snapshot(row), self.u[j - 1])
+        for slot, j in enumerate(range(cp - 1, k - 1, -1)):
+            row = kern.rebuild(row, self.u[j - 1], slot)
             self._block[j] = row
         return row
 
     def contains(self, k: int, sigma: int) -> bool:
         return 0 <= sigma <= self.cap and self.kernel.test(self.reach(k), sigma)
 
+    def witness(self, tau: int) -> tuple[int, ...]:
+        """Lexicographically smallest 0/1 vector whose chosen items sum to
+        tau, which must be a set bit of reach(stopped_at or 1).
+
+        Ties break toward excluding earlier items; items before stopped_at
+        are excluded outright, since later items alone already reach tau.
+        """
+        x = [0] * len(self.u)
+        sigma = tau
+        for k in range(self.stopped_at or 1, len(self.u) + 1):
+            if not self.contains(k + 1, sigma):
+                x[k - 1] = 1
+                sigma -= self.u[k - 1]
+        assert sigma == 0
+        return tuple(x)
+
 
 def dp_run(u, tau: int, *, want_solution: bool = True, early_stop: bool = True,
            budget_cells: int | None = None) -> DpRun:
     """Decide whether a subset of u sums to tau; reconstruct a witness if asked.
 
-    Ties break toward excluding earlier items, so the returned vector is the
-    lexicographically smallest solution.
+    The returned vector is the lexicographically smallest solution.
     """
     u = tuple(u)
     n = len(u)
@@ -313,39 +275,14 @@ def dp_run(u, tau: int, *, want_solution: bool = True, early_stop: bool = True,
     if tau == 0:
         return DpRun((0,) * n if want_solution else None, True, 0, 0)
 
-    if not want_solution:
-        scan = _get_jit_scan()
-        if scan is not None:
-            cells = (n + 1) * (tau + 1)
-            limit = budget_cap(budget_cells)
-            if cells > limit:
-                raise BudgetError(f"reach table needs {cells} cells, budget is {limit}",
-                                  cells=cells, cap=limit)
-            found, rows = _jit_decide(_PreparedItems(u), tau, early_stop, scan)
-            return DpRun(None, found, rows, rows * (tau + 1))
-
     table = ReachTable(u, tau, budget_cells=budget_cells,
                        early_stop_bit=tau if early_stop else None,
                        keep_checkpoints=want_solution)
     cells = table.rows_done * (tau + 1)
-    start = table.stopped_at if table.stopped_at is not None else 1
     if table.stopped_at is None and not table.contains(1, tau):
         return DpRun(None, False, table.rows_done, cells)
-    if not want_solution:
-        return DpRun(None, True, table.rows_done, cells)
-
-    x = [0] * n
-    sigma = tau
-    for k in range(start, n + 1):
-        if table.contains(k + 1, sigma):
-            continue
-        x[k - 1] = 1
-        sigma -= u[k - 1]
-        assert sigma >= 0
-    assert sigma == 0
-    xt = tuple(x)
-    assert sum(w for w, b in zip(u, xt) if b) == tau
-    return DpRun(xt, True, table.rows_done, cells)
+    x = table.witness(tau) if want_solution else None
+    return DpRun(x, True, table.rows_done, cells)
 
 
 def dp_decide(u, tau: int, *, budget_cells: int | None = None) -> tuple[int, ...] | None:
@@ -378,71 +315,33 @@ def family_window(total: int, n: int) -> TargetFamily:
 @dataclass(frozen=True)
 class FamilyScan:
     family: TargetFamily
-    results: tuple[tuple[int, tuple[int, ...] | None], ...]  # (t, witness) in scan order
-    hit: tuple[int, tuple[int, ...]] | None
+    hit: tuple[int, tuple[int, ...]] | None  # (t, lexicographically smallest witness)
     targets_scanned: int
-    cells: int
 
 
-def solve_family(q: QuantizedNormal, *, first_only: bool = False,
-                 center_out: bool = False, want_solution: bool = True,
-                 early_stop: bool = True, budget_cells: int | None = None,
-                 threads: int = 1) -> FamilyScan:
-    """Run the decision DP over the whole target window.
+def solve_family(q: QuantizedNormal, *, budget_cells: int | None = None) -> FamilyScan:
+    """Find the window target nearest half the quantized total that some
+    subset attains, with its lexicographically smallest witness.
 
-    Targets are independent; with threads > 1 they run on a pool but results
-    are always consumed in scan order, so output is identical for any thread
-    count.  first_only stops at the first attainable target in scan order;
-    center_out scans nearest-to-half first instead of ascending.
+    Targets are taken center-out: by distance from total/2, the lower one
+    first on a tie.  One ReachTable capped at the window top hi answers them
+    all.  The fill stops as soon as the first target's bit appears;
+    otherwise it runs to row 1, and the first set bit in center-out order is
+    the hit.  targets_scanned is the hit's 1-based position in that order,
+    or the window size when nothing hits.  The budget is checked once, for
+    (n+1)*(hi+1) cells, before any row is allocated.
     """
-    u = q.u
     total = q.total_u
     fam = family_window(total, q.n)
-    order = fam.window
-    if center_out:
-        order = tuple(sorted(order, key=lambda tau: (abs(2 * tau - total), tau)))
-
-    scan = _get_jit_scan() if not want_solution else None
-    if scan is not None:
-        # one shift decomposition serves every target in the window
-        prepared = _PreparedItems(u)
-        limit = budget_cap(budget_cells)
-
-        def run(tau: int) -> DpRun:
-            cells = (len(u) + 1) * (tau + 1)
-            if cells > limit:
-                raise BudgetError(f"reach table needs {cells} cells, budget is {limit}",
-                                  cells=cells, cap=limit)
-            found, rows = _jit_decide(prepared, tau, early_stop, scan)
-            return DpRun(None, found, rows, rows * (tau + 1))
+    order = sorted(fam.window, key=lambda tau: (abs(2 * tau - total), tau))
+    table = ReachTable(q.u, fam.window[-1], budget_cells=budget_cells,
+                       early_stop_bit=order[0])
+    if table.stopped_at is not None:
+        pos = 0
     else:
-        def run(tau: int) -> DpRun:
-            return dp_run(u, tau, want_solution=want_solution, early_stop=early_stop,
-                          budget_cells=budget_cells)
-
-    results: list[tuple[int, tuple[int, ...] | None]] = []
-    hit: tuple[int, tuple[int, ...]] | None = None
-    scanned = 0
-    cells = 0
-
-    if threads > 1:
-        pool = ThreadPoolExecutor(max_workers=threads)
-        runs = pool.map(run, order)
-    else:
-        pool = None
-        runs = map(run, order)
-    try:
-        for tau, out in zip(order, runs):
-            scanned += 1
-            cells += out.cells
-            t = fam.t_of(tau)
-            results.append((t, out.x if out.found else None))
-            if out.found and hit is None:
-                hit = (t, out.x)
-                if first_only:
-                    break
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    return FamilyScan(fam, tuple(results), hit, scanned, cells)
+        row = table.reach(1)
+        pos = next((i for i, tau in enumerate(order) if table.kernel.test(row, tau)), None)
+        if pos is None:
+            return FamilyScan(fam, None, len(order))
+    tau = order[pos]
+    return FamilyScan(fam, (fam.t_of(tau), table.witness(tau)), pos + 1)

@@ -86,7 +86,7 @@ SlabVerdict = EmptyInner | VertexFound
 
 
 def decide(inst: PartitionInstance, c: int | None = None, big_n: int | None = None, *,
-           budget_cells: int | None = None, threads: int = 1) -> SlabVerdict:
+           budget_cells: int | None = None) -> SlabVerdict:
     """Run the full decision: quantize, scan targets nearest-to-center first,
     certify whichever alternative holds.
 
@@ -95,8 +95,7 @@ def decide(inst: PartitionInstance, c: int | None = None, big_n: int | None = No
     available certificate.
     """
     q = quantize(inst, c=c, big_n=big_n)
-    scan = solve_family(q, first_only=True, center_out=True, want_solution=True,
-                        budget_cells=budget_cells, threads=threads)
+    scan = solve_family(q, budget_cells=budget_cells)
     if scan.hit is None:
         return EmptyInner(
             d_star_sq=q.d_star_sq,
@@ -122,7 +121,7 @@ def decide(inst: PartitionInstance, c: int | None = None, big_n: int | None = No
 
 
 def decide_epsilon(inst: PartitionInstance, epsilon, *,
-                   budget_cells: int | None = None, threads: int = 1) -> SlabVerdict:
+                   budget_cells: int | None = None) -> SlabVerdict:
     """Tolerance-driven entry: picks the smallest usable scale N >= n/epsilon.
 
     N is floored at n^2; any integer scale is accepted by the geometry, the
@@ -135,7 +134,7 @@ def decide_epsilon(inst: PartitionInstance, epsilon, *,
     n = inst.n
     big_n = max(n * n, math.ceil(Fraction(n) / epsilon))
     try:
-        return decide(inst, big_n=big_n, budget_cells=budget_cells, threads=threads)
+        return decide(inst, big_n=big_n, budget_cells=budget_cells)
     except BudgetError as exc:
         raise BudgetError(
             f"epsilon={epsilon} requires scale N={big_n}: {exc}",

@@ -106,6 +106,15 @@ def test_gen_sssp_kind(tmp_path):
 def test_usage_errors(tmp_path):
     assert run(["decide-slab", "--in", str(tmp_path / "missing.json"), "--c", "2"]) == 1
     assert run(["no-such-command"]) == 1
+    inst_path = tmp_path / "a.json"
+    write_instance(inst_path, gen_planted(4, 3, seed=0))
+    for bad in ("0", "-2", "two"):
+        assert run(["decide-slab", "--in", str(inst_path), "--c", "2",
+                    "--threads", bad]) == 1
+        assert run(["solve-fptas", "--in", str(inst_path), "--epsilon", "1/4",
+                    "--threads", bad]) == 1
+    assert run(["decide-slab", "--in", str(inst_path), "--c", "2", "--threads", "3",
+                "--out", str(tmp_path / "v.json")]) in (0, 3)
 
 
 def test_bench_command_smoke(tmp_path, capsys):
