@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from slabsum.instance import SsspInstance, gen_planted
 from slabsum.oracle import min_vertex_L0
-from slabsum.sssp import curvature_term, result_to_json, solve
+from slabsum.sssp import curvature_term, grid_cardinality, result_to_json, solve
 
 
 def main():
@@ -23,7 +23,7 @@ def main():
                         planted_x=base.planted_x)
     cert = solve(inst)
     doc = result_to_json(cert, curvature=curvature_term(inst),
-                         grid_size=cert.grid_size if cert else 0)
+                         grid_size=cert.grid_size if cert else grid_cardinality(inst))
     print(json.dumps(doc, sort_keys=True, indent=2))
     if args.n <= 20:
         best, argmin = min_vertex_L0(inst)

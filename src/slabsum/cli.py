@@ -8,6 +8,7 @@ verdict carries the bound-violation anomaly flag.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -20,8 +21,8 @@ from . import slab as slab_mod
 from . import sssp as sssp_mod
 from .dp import BudgetError, dp_decide
 from .instance import (ParseError, PartitionInstance, SspInstance, SsspInstance,
-                       gen_planted, gen_random, gen_sssp_random, read_instance,
-                       write_instance)
+                       fraction_json, gen_planted, gen_random, gen_sssp_random,
+                       read_instance, write_instance)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,7 +45,6 @@ class RunConfig:
     rho: Fraction | None = None
     seed: int = 0
     oracle_cap: int = 26
-    budget_cells: int | None = None
     leaf_budget: int = 10_000_000
 
 
@@ -100,7 +100,9 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="slabsum")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -232,8 +234,7 @@ def _cmd_oracle(args, cfg: RunConfig) -> int:
     report = oracle_mod.enumerate_partition(inst, max_n=cfg.oracle_cap)
     _emit({
         "count": report.count,
-        "min_distance_sq": {"num": str(report.min_distance_sq.numerator),
-                            "den": str(report.min_distance_sq.denominator)},
+        "min_distance_sq": fraction_json(report.min_distance_sq),
         "solutions": [list(x) for x in report.solutions],
     }, cfg.out_path)
     return EXIT_OK

@@ -252,14 +252,24 @@ class ReachTable:
         Ties break toward excluding earlier items; items before stopped_at
         are excluded outright, since later items alone already reach tau.
         """
-        x = [0] * len(self.u)
-        sigma = tau
-        for k in range(self.stopped_at or 1, len(self.u) + 1):
-            if not self.contains(k + 1, sigma):
-                x[k - 1] = 1
-                sigma -= self.u[k - 1]
-        assert sigma == 0
-        return tuple(x)
+        return self.witnesses((tau,))[0]
+
+    def witnesses(self, taus) -> list[tuple[int, ...]]:
+        """witness(tau) for every tau in taus, from one pass over the rows,
+        so each row between checkpoints is rebuilt once for all of them."""
+        n = len(self.u)
+        xs = [[0] * n for _ in taus]
+        sigmas = list(taus)
+        test = self.kernel.test
+        for k in range(self.stopped_at or 1, n + 1):
+            row = self.reach(k + 1)
+            for j, sigma in enumerate(sigmas):
+                # sigma stays a set bit of reach(k), so it is never negative
+                if not test(row, sigma):
+                    xs[j][k - 1] = 1
+                    sigmas[j] = sigma - self.u[k - 1]
+        assert not any(sigmas)
+        return [tuple(x) for x in xs]
 
 
 def dp_run(u, tau: int, *, want_solution: bool = True, early_stop: bool = True,
@@ -288,6 +298,22 @@ def dp_run(u, tau: int, *, want_solution: bool = True, early_stop: bool = True,
 def dp_decide(u, tau: int, *, budget_cells: int | None = None) -> tuple[int, ...] | None:
     """Witness for sum(u[i]*x[i]) == tau, or None if no subset attains it."""
     return dp_run(u, tau, want_solution=True, budget_cells=budget_cells).x
+
+
+def attainable_witnesses(u, *, budget_cells: int | None = None
+                         ) -> list[tuple[int, tuple[int, ...]]]:
+    """(tau, witness) for every tau in [0, sum(u)] that some subset attains,
+    tau ascending; each witness is the one dp_decide(u, tau) returns.
+
+    One ReachTable capped at sum(u) answers every tau, since the bits at or
+    below tau do not depend on the cap.  The budget is checked once, for
+    (n+1)*(sum(u)+1) cells, before any row is allocated.
+    """
+    u = tuple(u)
+    table = ReachTable(u, sum(u), budget_cells=budget_cells)
+    row = table.reach(1)
+    taus = [tau for tau in range(table.cap + 1) if table.kernel.test(row, tau)]
+    return list(zip(taus, table.witnesses(taus)))
 
 
 # -- the shifted-target family ------------------------------------------------

@@ -235,7 +235,9 @@ def _fraction_obj(value, where: str) -> Fraction:
     return Fraction(num, den)
 
 
-def _fraction_json(q: Fraction) -> dict:
+def fraction_json(q: Fraction) -> dict:
+    """An exact rational as {"num", "den"} decimal strings, lowest terms: the
+    one serialization every instance and verdict file uses."""
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
@@ -252,8 +254,8 @@ def instance_to_json(inst: Instance) -> dict:
         return {
             "kind": "sssp",
             "weight_rows": [[str(w) for w in row] for row in inst.weight_rows],
-            "rho": _fraction_json(inst.rho),
-            "delta": _fraction_json(inst.delta),
+            "rho": fraction_json(inst.rho),
+            "delta": fraction_json(inst.delta),
             "meta": meta,
         }
     meta["n"] = inst.n

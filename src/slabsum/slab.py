@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dp import BudgetError, solve_family
-from .instance import PartitionInstance
+from .instance import PartitionInstance, fraction_json
 from .quantize import quantize
 
 
@@ -142,17 +142,13 @@ def decide_epsilon(inst: PartitionInstance, epsilon, *,
         ) from exc
 
 
-def _fraction_json(q: Fraction) -> dict:
-    return {"num": str(q.numerator), "den": str(q.denominator)}
-
-
 def verdict_to_json(v: SlabVerdict) -> dict:
     if isinstance(v, EmptyInner):
         return {
             "verdict": "empty_inner",
             "x": None,
             "t": None,
-            "d_star_sq": _fraction_json(v.d_star_sq),
+            "d_star_sq": fraction_json(v.d_star_sq),
             "rel_error": None,
             "targets_scanned": v.targets_scanned,
             "anomaly": False,
@@ -161,8 +157,8 @@ def verdict_to_json(v: SlabVerdict) -> dict:
         "verdict": "vertex_found",
         "x": list(v.x),
         "t": v.t_hit,
-        "d_star_sq": _fraction_json(v.d_star_sq),
-        "rel_error": _fraction_json(v.rel_error),
+        "d_star_sq": fraction_json(v.d_star_sq),
+        "rel_error": fraction_json(v.rel_error),
         "targets_scanned": v.targets_scanned,
         "anomaly": v.anomaly,
     }

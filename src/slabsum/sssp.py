@@ -8,6 +8,13 @@ level, collapses the whole system to a single shell condition that the slab
 engine can decide.  The search runs in floats; every candidate vertex is
 accepted or rejected by exact rational arithmetic only.
 
+The search goes witness first.  The vertex a grid leaf proposes for a target
+depends on the target alone, and the exact acceptance check on the vertex
+alone, so one reachability table lists every candidate vertex; only those
+passing the exact check look up the few grid points they can satisfy.  The
+lexicographically first (leaf, target) pair that a walk over the whole grid
+would accept is returned, without the walk.
+
 Key identity used throughout: every hypercube vertex is exactly sqrt(n)/2
 from the cube center, so for a shell anchored at C - rho*S/|S| with squared
 radius rho^2 + n/4,
@@ -24,8 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .dp import BudgetError, dp_decide
-from .instance import SsspInstance
+from .dp import BudgetError, attainable_witnesses
+from .dp import dp_decide  # noqa: F401  (perfbench traces witness calls under this name)
+from .instance import SsspInstance, fraction_json
 from .quantize import QuantizationUnderflow
 
 
@@ -214,12 +222,13 @@ def build_shells(inst: SsspInstance) -> tuple[Shell, ...]:
 
 def exact_l0(inst: SsspInstance, x) -> Fraction:
     """Exact sum of squared shell residuals at a vertex, via the anchor identity."""
-    total = Fraction(0)
-    rho_sq = inst.rho * inst.rho
+    num, den = 0, 1
     for row in inst.weight_rows:
         d = 2 * sum(w for w, b in zip(row, x) if b) - sum(row)
-        total += rho_sq * Fraction(d * d, sum(w * w for w in row))
-    return total
+        m = sum(w * w for w in row)
+        num, den = num * m + d * d * den, den * m
+    rho = inst.rho
+    return Fraction(rho.numerator ** 2 * num, rho.denominator ** 2 * den)
 
 
 def curvature_term(inst: SsspInstance) -> Fraction:
@@ -296,22 +305,68 @@ def _geometry(inst: SsspInstance, eps_b: float | None) -> _Geometry:
 
 
 def grid_cardinality(inst: SsspInstance, *, eps_b: float | None = None) -> int:
-    """Number of (M, B) leaves the full search would visit."""
+    """Number of (M, B) leaves in the guess grid, which the leaf budget bounds."""
     return _geometry(inst, eps_b).grid_size
+
+
+def _leaf_window(geo: _Geometry, scale: int, total_w: int, y_lo: float, y_hi: float,
+                 b_val: float) -> tuple[int, int] | None:
+    """Integer target window [t_lo, t_hi] of the leaf whose single-shell band
+    is (y_lo, y_hi) under the circumference guess b_val; None when even the
+    widened band ends below radius zero."""
+    n = len(geo.axis)
+    # B only approximates |x - C_root| + R, so widen the band by the
+    # worst-case rounding of y/B before mapping it through the geometry
+    zeta = max(abs(y_lo), abs(y_hi)) * geo.eps_b / (b_val * geo.b_lo)
+    g_lo = y_lo / b_val - zeta
+    g_hi = y_hi / b_val + zeta
+    r_hi = geo.root_radius + g_hi
+    if r_hi < 0:
+        return None
+    r_lo = max(geo.root_radius + g_lo, 0.0)
+    offset = n / 4 + geo.axis_norm ** 2
+    w_lo = (r_lo * r_lo - offset) / 2
+    w_hi = (r_hi * r_hi - offset) / 2
+    t_lo = max(0, math.ceil(total_w / 2 + scale * w_lo / geo.axis_norm - n / 2 - 1))
+    t_hi = min(total_w, math.floor(total_w / 2 + scale * w_hi / geo.axis_norm + n / 2 + 1))
+    return t_lo, t_hi
+
+
+def _indices_near(count: int, pos: float, accept) -> list[int]:
+    """Indices in [0, count) within two of floor(pos) that `accept` passes.
+
+    Every caller's predicate accepts only indices within about one of pos,
+    so the two-index margin on each side covers float rounding with room
+    to spare."""
+    base = math.floor(pos)
+    return [i for i in range(max(0, base - 2), min(count, base + 4)) if accept(i)]
 
 
 def solve(inst: SsspInstance, *, eps_b: float | None = None,
           leaf_budget: int = 10_000_000, c: int = 2,
           budget_cells: int | None = None) -> SsspCertificate | None:
-    """Grid search over cross-term guesses and the circumference guess B.
+    """Search over cross-term guesses M and the circumference guess B,
+    witness first.
 
-    Every leaf turns the single-shell band into an integer target window on a
-    quantized axis normal and asks the decision DP for a vertex.  Candidates
-    are validated in three stages: B consistency, per-level cross-term
-    consistency, and the exact rational check l0 <= 5*delta.  The first
-    fully validated vertex (in lexicographic grid order) wins.  Returns None
-    when the grid is exhausted, which by design cannot distinguish "no
-    solution" from "two or more".
+    The search is defined on the (M, B) grid: every leaf turns the
+    single-shell band into an integer target window on a quantized axis
+    normal; each target tau in the window yields the lexicographically
+    smallest vertex x with w.x == tau, which is validated in three stages
+    (B consistency, per-level cross-term consistency, the exact rational
+    check l0 <= 5*delta).  The answer is the first validated (leaf, tau) in
+    lexicographic (M index, B index, band, tau) order.  Returns None when
+    nothing validates, which by design cannot distinguish "no solution"
+    from "two or more".
+
+    The grid is never walked.  The vertex depends on tau alone and the
+    exact check on the vertex alone, so one reachability table yields every
+    attainable tau's vertex, and those failing l0 <= 5*delta are dropped
+    before any grid point is looked at.  The B and cross-term predicates
+    each accept only guesses within one grid step of a value computed from
+    the vertex, so each survivor lists the few (M, B) grid points it can
+    satisfy and keeps the first whose leaf window holds its tau.  The
+    smallest such key over all survivors is exactly the leaf walk's first
+    hit.  The leaf budget still bounds the grid size, walked or not.
     """
     geo = _geometry(inst, eps_b)
     if geo.grid_size > leaf_budget:
@@ -328,82 +383,71 @@ def solve(inst: SsspInstance, *, eps_b: float | None = None,
         raise QuantizationUnderflow(zeros, scale)
     total_w = sum(w)
 
-    deltaf = float(inst.delta)
-    slack = 3 * deltaf
+    five_delta = 5 * inst.delta
+    candidates = []
+    for tau, x in attainable_witnesses(w, budget_cells=budget_cells):
+        l0 = exact_l0(inst, x)
+        if l0 <= five_delta:
+            candidates.append((tau, x, l0))
+    if not candidates:
+        return None
+
+    slack = 3 * float(inst.delta)
     steps_f = [float(g.step) for g in geo.grids]
     pow4 = [4 ** q for q in range(depth)]
     four_l = 4 ** depth
     root_center = geo.tree.root.center
-    offset = n / 4 + geo.axis_norm ** 2
-    curvature = curvature_term(inst)
-    five_delta = 5 * inst.delta
 
-    def validate(x, m_vals, b_val):
-        dist_root = math.sqrt(sum((xk - ck) ** 2 for xk, ck in zip(x, root_center)))
-        if abs(b_val - dist_root - geo.root_radius) > geo.eps_b * (1 + 1e-9):
-            return None
-        for q in range(depth):
-            if abs(float(m_vals[q]) - cross_sum(geo.tree, q, x)) > steps_f[q] * (1 + 1e-9):
-                return None
-        l0 = exact_l0(inst, x)
-        if l0 > five_delta:
-            return None
-        return SsspCertificate(x=x, chosen_m=m_vals, chosen_b=Fraction(b_val),
-                               l0_exact=l0, accepted=True, curvature=curvature,
-                               grid_size=geo.grid_size)
-
-    # the witness per target is a pure function of tau; leaves overlap heavily
-    witness_memo: dict[int, tuple[int, ...] | None] = {}
-
-    def witness(tau: int):
-        if tau not in witness_memo:
-            witness_memo[tau] = dp_decide(w, tau, budget_cells=budget_cells)
-        return witness_memo[tau]
-
-    def leaf(m_vals, y_lo, y_hi, b_val):
-        # B only approximates |x - C_root| + R, so widen the band by the
-        # worst-case rounding of y/B before mapping it through the geometry
-        zeta = max(abs(y_lo), abs(y_hi)) * geo.eps_b / (b_val * geo.b_lo)
-        g_lo = y_lo / b_val - zeta
-        g_hi = y_hi / b_val + zeta
-        r_hi = geo.root_radius + g_hi
-        if r_hi < 0:
-            return None
-        r_lo = max(geo.root_radius + g_lo, 0.0)
-        w_lo = (r_lo * r_lo - offset) / 2
-        w_hi = (r_hi * r_hi - offset) / 2
-        t_lo = max(0, math.ceil(total_w / 2 + scale * w_lo / geo.axis_norm - n / 2 - 1))
-        t_hi = min(total_w, math.floor(total_w / 2 + scale * w_hi / geo.axis_norm + n / 2 + 1))
-        for tau in range(t_lo, t_hi + 1):
-            x = witness(tau)
-            if x is None:
+    def first_leaf(tau, b_idx, m_idx_lists):
+        """Smallest (m_idx, bi, band) among the given guesses whose leaf
+        window holds tau, with the leaf's M values and B; None if none does."""
+        for m_idx in product(*m_idx_lists):
+            m_vals = tuple(g.value(i) for g, i in zip(geo.grids, m_idx))
+            sig = float(sum(pq * mv for pq, mv in zip(pow4, m_vals)))
+            hi_sq = (sig + slack) / four_l
+            if hi_sq < 0:
                 continue
-            cert = validate(x, m_vals, b_val)
-            if cert is not None:
-                return cert
+            lo_sq = max(0.0, (sig - slack) / four_l)
+            y_hi = math.sqrt(hi_sq)
+            y_lo = math.sqrt(lo_sq)
+            bands = [(-y_hi, y_hi)] if lo_sq == 0.0 else [(-y_hi, -y_lo), (y_lo, y_hi)]
+            for bi in b_idx:
+                b_val = geo.b_lo + bi * geo.eps_b
+                for band_i, (band_lo, band_hi) in enumerate(bands):
+                    window = _leaf_window(geo, scale, total_w, band_lo, band_hi, b_val)
+                    if window is not None and window[0] <= tau <= window[1]:
+                        return (m_idx, bi, band_i), m_vals, b_val
         return None
 
-    for m_idx in product(*[range(g.count) for g in geo.grids]):
-        m_vals = tuple(g.value(i) for g, i in zip(geo.grids, m_idx))
-        sig = float(sum(pq * mv for pq, mv in zip(pow4, m_vals)))
-        hi_sq = (sig + slack) / four_l
-        if hi_sq < 0:
+    best = None  # (leaf key, x, M values, B, l0); tau breaks key ties, ascending
+    for tau, x, l0 in candidates:
+        # stage 1: B guesses within one step of |x - C_root| + R
+        dist_root = math.sqrt(sum((xk - ck) ** 2 for xk, ck in zip(x, root_center)))
+        b_idx = _indices_near(
+            geo.b_count, (dist_root + geo.root_radius - geo.b_lo) / geo.eps_b,
+            lambda bi: abs(geo.b_lo + bi * geo.eps_b - dist_root - geo.root_radius)
+            <= geo.eps_b * (1 + 1e-9))
+        if not b_idx:
             continue
-        lo_sq = max(0.0, (sig - slack) / four_l)
-        y_hi = math.sqrt(hi_sq)
-        y_lo = math.sqrt(lo_sq)
-        bands = [(-y_hi, y_hi)] if lo_sq == 0.0 else [(-y_hi, -y_lo), (y_lo, y_hi)]
-        for bi in range(geo.b_count):
-            b_val = geo.b_lo + bi * geo.eps_b
-            for band in bands:
-                cert = leaf(m_vals, band[0], band[1], b_val)
-                if cert is not None:
-                    return cert
-    return None
-
-
-def _fraction_json(q: Fraction) -> dict:
-    return {"num": str(q.numerator), "den": str(q.denominator)}
+        # stage 2: per level, M guesses within one step of the true cross sum
+        m_idx_lists = []
+        for q, g in enumerate(geo.grids):
+            cs = cross_sum(geo.tree, q, x)
+            m_idx_lists.append(_indices_near(
+                g.count, (cs + float(g.mbar)) / steps_f[q],
+                lambda i: abs(float(g.value(i)) - cs) <= steps_f[q] * (1 + 1e-9)))
+            if not m_idx_lists[-1]:
+                break
+        else:
+            leaf = first_leaf(tau, b_idx, m_idx_lists)
+            if leaf is not None and (best is None or leaf[0] < best[0]):
+                best = (leaf[0], x, leaf[1], leaf[2], l0)
+    if best is None:
+        return None
+    _, x, m_vals, b_val, l0 = best
+    return SsspCertificate(x=x, chosen_m=m_vals, chosen_b=Fraction(b_val),
+                           l0_exact=l0, accepted=True, curvature=curvature_term(inst),
+                           grid_size=geo.grid_size)
 
 
 def result_to_json(cert: SsspCertificate | None, *, curvature: Fraction,
@@ -415,15 +459,15 @@ def result_to_json(cert: SsspCertificate | None, *, curvature: Fraction,
             "M": None,
             "B": None,
             "L0": None,
-            "curvature_term": _fraction_json(curvature),
+            "curvature_term": fraction_json(curvature),
             "grid_size": grid_size,
         }
     return {
         "found": True,
         "x": list(cert.x),
-        "M": [_fraction_json(m) for m in cert.chosen_m],
-        "B": _fraction_json(cert.chosen_b),
-        "L0": _fraction_json(cert.l0_exact),
-        "curvature_term": _fraction_json(cert.curvature),
+        "M": [fraction_json(m) for m in cert.chosen_m],
+        "B": fraction_json(cert.chosen_b),
+        "L0": fraction_json(cert.l0_exact),
+        "curvature_term": fraction_json(cert.curvature),
         "grid_size": cert.grid_size,
     }

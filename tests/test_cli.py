@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -126,3 +130,63 @@ def test_bench_command_smoke(tmp_path, capsys):
     assert len(lines) == 3
     report = json.loads(capsys.readouterr().out)
     assert "slope" in report
+
+
+def test_solve_sssp_budget_exit_code(tmp_path, monkeypatch):
+    p = tmp_path / "ss.json"
+    write_instance(p, SsspInstance(((1, 1, 1, 1), (1, 1, 1, 2)), rho=Fraction(8),
+                                   delta=Fraction(1)))
+    monkeypatch.setenv("SLABSUM_BUDGET_CELLS", "10")
+    assert run(["solve-sssp", "--in", str(p)]) == 2
+
+
+def test_repeated_calls_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process; every call must still behave as
+    # the first call of a fresh interpreter
+    monkeypatch.setenv("COLUMNS", "80")
+    part = tmp_path / "p.json"
+    write_instance(part, gen_planted(8, 4, seed=3))
+    ss = tmp_path / "s.json"
+    ones = gen_planted(4, 1, seed=0)
+    write_instance(ss, SsspInstance((ones.weights, ones.weights), rho=Fraction(4),
+                                    delta=Fraction(1)))
+    # (argv, output file name or None); usage errors, --threads 0 and
+    # --c with --big-n included
+    calls = [
+        (["decide-slab", "--in", str(part), "--c", "2"], None),
+        (["decide-slab", "--in", str(part), "--c", "2", "--big-n", "10"], None),
+        (["solve-fptas", "--in", str(part), "--epsilon", "1/8", "--threads", "2"], None),
+        (["decide-slab", "--in", str(part), "--c", "2", "--threads", "0"], None),
+        (["solve-sssp", "--in", str(ss)], None),
+        (["no-such-command"], None),
+        (["oracle", "--in", str(part)], None),
+        ([], None),
+        (["decide-slab", "--in", str(tmp_path / "missing.json"), "--c", "2"], None),
+        (["gen", "--n", "6", "--bits", "3", "--seed", "1", "--out"], "g.json"),
+        (["solve-exact", "--in", str(part)], None),
+        (["decide-slab", "--help"], None),
+        (["decide-slab", "--in", str(part), "--big-n", "100"], None),
+    ]
+
+    def in_process(argv, out):
+        if out:
+            argv = argv + [str(tmp_path / f"in-{out}")]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        written = (tmp_path / f"in-{out}").read_bytes() if out else b""
+        return code, captured.out.encode(), captured.err.encode(), written
+
+    def fresh(argv, out):
+        if out:
+            argv = argv + [str(tmp_path / f"fresh-{out}")]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "slabsum.cli", *argv], env=env,
+                              capture_output=True, timeout=120, check=False)
+        written = (tmp_path / f"fresh-{out}").read_bytes() if out else b""
+        return proc.returncode, proc.stdout, proc.stderr, written
+
+    expected = [fresh(argv, out) for argv, out in calls]
+    assert [r[0] for r in expected] == [0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0, 0, 0]
+    for order in (range(len(calls)), reversed(range(len(calls))), range(len(calls))):
+        for i in order:
+            assert in_process(*calls[i]) == expected[i], calls[i][0]
