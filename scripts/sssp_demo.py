@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from slabsum.instance import SsspInstance, gen_planted
 from slabsum.oracle import min_vertex_L0
-from slabsum.sssp import curvature_term, grid_cardinality, result_to_json, solve
+from slabsum.sssp import curvature_term, geometry, result_to_json, solve
 
 
 def main():
@@ -21,9 +21,9 @@ def main():
     inst = SsspInstance((base.weights, base.weights), rho=Fraction(10),
                         delta=Fraction(27, 20), m=2, seed=args.seed,
                         planted_x=base.planted_x)
-    cert = solve(inst)
-    doc = result_to_json(cert, curvature=curvature_term(inst),
-                         grid_size=cert.grid_size if cert else grid_cardinality(inst))
+    geo = geometry(inst, None)
+    cert = solve(inst, geo=geo)
+    doc = result_to_json(cert, curvature=curvature_term(inst), grid_size=geo.grid_size)
     print(json.dumps(doc, sort_keys=True, indent=2))
     if args.n <= 20:
         best, argmin = min_vertex_L0(inst)

@@ -216,13 +216,12 @@ def _cmd_solve_sssp(args, cfg: RunConfig) -> int:
     inst = read_instance(cfg.in_path)
     if not isinstance(inst, SsspInstance):
         raise ParseError("solve-sssp needs an sssp instance")
-    cert = sssp_mod.solve(inst, eps_b=args.eps_b, leaf_budget=cfg.leaf_budget,
-                          c=cfg.c if cfg.c is not None else 2)
-    doc = sssp_mod.result_to_json(
-        cert,
-        curvature=sssp_mod.curvature_term(inst),
-        grid_size=cert.grid_size if cert else sssp_mod.grid_cardinality(inst, eps_b=args.eps_b),
-    )
+    # one geometry gives the grid size of an exhausted search as well
+    geo = sssp_mod.geometry(inst, args.eps_b)
+    cert = sssp_mod.solve(inst, leaf_budget=cfg.leaf_budget,
+                          c=cfg.c if cfg.c is not None else 2, geo=geo)
+    doc = sssp_mod.result_to_json(cert, curvature=sssp_mod.curvature_term(inst),
+                                  grid_size=geo.grid_size)
     _emit(doc, cfg.out_path)
     return EXIT_OK
 
@@ -273,7 +272,8 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"slabsum: budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ParseError, ValueError, OSError) as exc:
+    except (ParseError, ValueError, OverflowError, OSError) as exc:
+        # OverflowError: a weight too large for the float geometry of solve-sssp
         print(f"slabsum: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,6 +12,15 @@ solve_family answers the whole shifted-target window from one table filled
 to the window top (the bitset-row formulation of subset sum; Pisinger,
 J. Algorithms 1999; Bringmann, SODA 2017).  dp_run answers one target.
 
+solve_family's table is banded by the window [lo, hi]: row k keeps only
+band(k) = [max(0, lo - P(k-1)), min(hi, Suf(k))], P(k-1) the sum of items
+1..k-1 and Suf(k) of items k..n, since a sum outside it can no longer end
+in the window (prefix/suffix bounds, as in Pisinger's pruning).  Band bits
+depend only on the previous row's band bits, and every bit the decision
+reads lies in the band, so answers are unchanged; on planted instances the
+band is about half of each row.  The budget still counts full rows,
+(n+1)*(hi+1) cells, before any row is allocated.
+
 Two interchangeable row kernels produce bit-identical tables: plain Python
 ints for narrow rows, and preallocated numpy uint64 arrays for wide ones,
 where avoiding per-op allocation is worth roughly an order of magnitude.
@@ -23,6 +32,7 @@ import bisect
 import math
 import os
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .quantize import QuantizedNormal
 
@@ -60,7 +70,11 @@ def budget_cap(budget_cells: int | None = None) -> int:
 
 
 class _IntKernel:
-    """Rows as Python ints; snapshots are free because ints are immutable."""
+    """Rows as Python ints; snapshots are free because ints are immutable.
+
+    An int is only as long as its top set bit, so a row never holds bits
+    above its attainable sums; bits below a band are computed exactly, which
+    a banded table allows.  The band arguments are therefore ignored."""
 
     def __init__(self, cap: int):
         self.cap = cap
@@ -74,11 +88,11 @@ class _IntKernel:
             return row
         return (row | (row << w)) & self.mask
 
-    def rebuild(self, row: int, w: int, slot: int) -> int:
+    def rebuild(self, row: int, w: int, slot: int, band, top: int) -> int:
         return self.apply(row, w)
 
     @staticmethod
-    def snapshot(row: int) -> int:
+    def snapshot(row: int, band) -> int:
         return row
 
     @staticmethod
@@ -88,7 +102,11 @@ class _IntKernel:
 
 class _ArrayKernel:
     """Rows as uint64 arrays; shift/or stream through two reused buffers, and
-    rows rebuilt between checkpoints land in reused slot buffers."""
+    rows rebuilt between checkpoints land in reused slot buffers.
+
+    A band (L, H) limits every operation to words L>>6 .. H>>6.  Stored rows
+    keep the words above their band zero up to the highest bit a reader
+    asks for, so a bit above a row's band always reads as unreachable."""
 
     def __init__(self, cap: int):
         self.cap = cap
@@ -103,39 +121,54 @@ class _ArrayKernel:
         row[0] = 1
         return row
 
-    def apply(self, row, w: int):
-        if w > self.cap:
-            return row
-        words = self.words
+    def apply(self, row, w: int, band, out=None):
+        """row | row << w on the words of band = (L, H) bits, into out, or
+        into row itself when out is None.  Band bits read only row's bits in
+        [L - w, H]; out's words outside the band are left as they were."""
+        first, last = band[0] >> 6, band[1] >> 6
         q, r = divmod(w, 64)
-        sh = self._sh
-        sh[:q] = 0
-        if r == 0:
-            sh[q:] = row[: words - q]
+        start = min(max(first, q), last + 1)  # the lowest word shifted bits land in
+        if out is None:
+            out = row
         else:
-            _np.left_shift(row[: words - q], _np.uint64(r), out=sh[q:])
-            if q + 1 < words:
-                carry = self._carry
-                _np.right_shift(row[: words - q - 1], _np.uint64(64 - r),
-                                out=carry[: words - q - 1])
-                _np.bitwise_or(sh[q + 1:], carry[: words - q - 1], out=sh[q + 1:])
-        _np.bitwise_or(row, sh, out=row)
-        row[words - 1] &= self.top_mask
-        return row
+            out[first:start] = row[first:start]
+        if start > last:
+            return out
+        sh = self._sh[: last + 1 - start]
+        src = row[start - q: last + 1 - q]
+        if r == 0:
+            _np.copyto(sh, src)
+        else:
+            _np.left_shift(src, _np.uint64(r), out=sh)
+            lo = max(start, q + 1)  # the lowest word carried bits land in
+            if lo <= last:
+                carry = self._carry[: last + 1 - lo]
+                _np.right_shift(row[lo - q - 1: last - q], _np.uint64(64 - r), out=carry)
+                _np.bitwise_or(sh[lo - start:], carry, out=sh[lo - start:])
+        _np.bitwise_or(row[start: last + 1], sh, out=out[start: last + 1])
+        if last == self.words - 1:
+            out[last] &= self.top_mask
+        return out
 
-    def rebuild(self, row, w: int, slot: int):
-        """apply() on a copy of row held in buffer `slot`, which the next
-        rebuild into that slot overwrites.  Slots are separate arrays made on
-        first use, so a table whose blocks stay short never holds stride rows."""
+    def rebuild(self, row, w: int, slot: int, band, top: int):
+        """apply() from row into buffer `slot`, which the next rebuild into
+        that slot overwrites.  A reused slot still holds another row's bits,
+        which can be a superset of this row's, so its words above the band
+        up to bit `top`, the highest bit a reader of this row asks for, are
+        zeroed.  Slots are separate arrays made on first use, so a table
+        whose blocks stay short never holds stride rows."""
         if slot == len(self._slots):
             self._slots.append(_np.empty(self.words, _np.uint64))
         out = self._slots[slot]
-        _np.copyto(out, row)
-        return self.apply(out, w)
+        out[(band[1] >> 6) + 1: (top >> 6) + 1] = 0
+        return self.apply(row, w, band, out)
 
-    @staticmethod
-    def snapshot(row):
-        return row.copy()
+    def snapshot(self, row, band):
+        """A fresh copy of row's band words, zero elsewhere."""
+        first, last = band[0] >> 6, band[1] >> 6
+        out = _np.zeros(self.words, _np.uint64)
+        out[first: last + 1] = row[first: last + 1]
+        return out
 
     @staticmethod
     def test(row, s: int) -> bool:
@@ -163,10 +196,23 @@ class ReachTable:
 
     reach(k) is the bit set of sums attainable from items k..n (1-based);
     reach(n+1) = {0}.  Rows between checkpoints are rebuilt on demand.
+
+    Given window_lo, the table is banded: only sums that can still end in
+    [window_lo, cap] are kept.  Row k then needs only its bits in
+    band(k) = [max(0, window_lo - P(k-1)), min(cap, Suf(k))], where P(k-1)
+    sums items 1..k-1 and Suf(k) items k..n.  Band bits of row k depend only
+    on band bits of row k+1, since the low end drops by at most u_k from one
+    row to the next; a bit above the band is zero (no subset of items k..n
+    reaches it, or it lies above the cap), and bits below the band may hold
+    stale values.  Every bit a window decision reads is in the band: the
+    window bits of reach(1), and each sigma that witnesses() tests in
+    reach(k+1), which is at least tau - P(k-1).  The budget still counts
+    (n+1)*(cap+1).
     """
 
     def __init__(self, u: tuple[int, ...], cap: int, *, budget_cells: int | None = None,
-                 early_stop_bit: int | None = None, keep_checkpoints: bool = True):
+                 early_stop_bit: int | None = None, keep_checkpoints: bool = True,
+                 window_lo: int | None = None):
         n = len(u)
         cells = (n + 1) * (cap + 1)
         limit = budget_cap(budget_cells)
@@ -177,13 +223,19 @@ class ReachTable:
             )
         self.u = u
         self.cap = cap
+        self.window_lo = window_lo
         self.kernel = _make_kernel(cap)
         self.stride = max(1, math.isqrt(n))
         self.stopped_at: int | None = None
+        if window_lo is not None:
+            # suf[k] = Suf(k) for k = 1..n+1; suf[0] = Suf(1) stands in for a row 0
+            suffixes = list(accumulate(reversed(u), initial=0))[::-1]
+            self._suf = [suffixes[0], *suffixes]
 
         kern = self.kernel
+        band = self.band
         row = kern.one()
-        self.checkpoints = {n + 1: kern.snapshot(row)}
+        self.checkpoints = {n + 1: kern.snapshot(row, band(n + 1))}
         next_cp = n + 1 - self.stride if keep_checkpoints else 0
         k = 1
         if isinstance(kern, _IntKernel) and not keep_checkpoints and early_stop_bit is None:
@@ -209,23 +261,44 @@ class ReachTable:
                     break
         else:
             for k in range(n, 0, -1):
-                row = kern.apply(row, u[k - 1])
+                row = kern.apply(row, u[k - 1], band(k))
                 if k == next_cp:
-                    self.checkpoints[k] = kern.snapshot(row)
+                    self.checkpoints[k] = kern.snapshot(row, band(k))
                     next_cp -= self.stride
                 if early_stop_bit is not None and kern.test(row, early_stop_bit):
                     self.stopped_at = k
                     break
         self.rows_done = n - k + 1 if n else 0
-        self.checkpoints.setdefault(max(1, self.stopped_at or 1), kern.snapshot(row))
+        last = max(1, self.stopped_at or 1)
+        self.checkpoints.setdefault(last, kern.snapshot(row, band(last)))
         self._cp_keys = sorted(self.checkpoints)
         self._block: dict[int, object] = {}
+
+    @property
+    def cells(self) -> int:
+        """Summed band width of the rows filled; rows_done*(cap+1) when the
+        table is not banded."""
+        if self.window_lo is None:
+            return self.rows_done * (self.cap + 1)
+        n = len(self.u)
+        return sum(max(0, hi - lo + 1)
+                   for lo, hi in map(self.band, range(n - self.rows_done + 1, n + 1)))
+
+    def band(self, k: int) -> tuple[int, int]:
+        """The bits [L, H] of reach(k) that this table keeps; (0, cap) when
+        it is not banded."""
+        if self.window_lo is None:
+            return 0, self.cap
+        suf = self._suf[k]
+        return max(0, self.window_lo - self._suf[1] + suf), min(self.cap, suf)
 
     def reach(self, k: int):
         """Row for items k..n; valid for k >= stopped_at (or 1 on a full run).
 
         A rebuilt row may share a buffer with the next block, so read it
-        before calling reach for a row outside the current block.
+        before calling reach for a row outside the current block.  On a
+        banded table only the bits of band(k), and the zero bits above it
+        up to band(k-1)'s top, are valid.
         """
         row = self.checkpoints.get(k)
         if row is not None:
@@ -234,11 +307,12 @@ class ReachTable:
         if row is not None:
             return row
         kern = self.kernel
+        band = self.band
         cp = self._cp_keys[bisect.bisect_left(self._cp_keys, k)]
         self._block.clear()
         row = self.checkpoints[cp]
         for slot, j in enumerate(range(cp - 1, k - 1, -1)):
-            row = kern.rebuild(row, self.u[j - 1], slot)
+            row = kern.rebuild(row, self.u[j - 1], slot, band(j), band(j - 1)[1])
             self._block[j] = row
         return row
 
@@ -361,7 +435,7 @@ def solve_family(q: QuantizedNormal, *, budget_cells: int | None = None) -> Fami
     fam = family_window(total, q.n)
     order = sorted(fam.window, key=lambda tau: (abs(2 * tau - total), tau))
     table = ReachTable(q.u, fam.window[-1], budget_cells=budget_cells,
-                       early_stop_bit=order[0])
+                       early_stop_bit=order[0], window_lo=fam.window[0])
     if table.stopped_at is not None:
         pos = 0
     else:

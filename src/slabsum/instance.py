@@ -33,7 +33,7 @@ class SspInstance:
         for i, w in enumerate(self.weights):
             if w < 1:
                 raise ValueError(f"weights[{i}] = {w} must be >= 1")
-            if self.m is not None and w >= (1 << self.m):
+            if self.m is not None and w.bit_length() > self.m:
                 raise ValueError(f"weights[{i}] = {w} exceeds {self.m} bits")
         if not 0 <= self.target <= sum(self.weights):
             raise ValueError("target outside [0, sum(weights)]")
@@ -67,7 +67,7 @@ class PartitionInstance:
         for i, w in enumerate(self.weights):
             if w < 1:
                 raise ValueError(f"weights[{i}] = {w} must be >= 1")
-            if self.m is not None and w >= (1 << self.m):
+            if self.m is not None and w.bit_length() > self.m:
                 raise ValueError(f"weights[{i}] = {w} exceeds {self.m} bits")
         if self.planted_x is not None:
             object.__setattr__(self, "planted_x", tuple(int(b) for b in self.planted_x))
@@ -121,6 +121,12 @@ class SsspInstance:
             for j, w in enumerate(row):
                 if w < 1:
                     raise ValueError(f"weight_rows[{i}][{j}] = {w} must be >= 1")
+        if self.planted_x is not None:
+            object.__setattr__(self, "planted_x", tuple(int(b) for b in self.planted_x))
+            if len(self.planted_x) != n:
+                raise ValueError("planted_x length mismatch")
+            if any(b not in (0, 1) for b in self.planted_x):
+                raise ValueError("planted_x must be 0/1")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         if self.delta <= 0:
@@ -216,10 +222,27 @@ def gen_sssp_random(n: int, m: int, p: int, seed: int, *,
 def _int_str(value, where: str) -> int:
     if not isinstance(value, str):
         raise ParseError(f"{where}: expected a decimal string, got {type(value).__name__}")
+    # ASCII digits and an optional "-" only: int() would also take spaces,
+    # "_", "+" and other scripts' digits
+    if not (value.isascii() and (value.isdigit() or value[:1] == "-" and value[1:].isdigit())):
+        raise ParseError(f"{where}: not a decimal integer: {value!r}")
     try:
         return int(value, 10)
-    except ValueError:
+    except ValueError:  # more digits than int() converts
         raise ParseError(f"{where}: not a decimal integer: {value!r}") from None
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: expected a list, got {type(value).__name__}")
+    return value
+
+
+def _json_int(value, where: str) -> int:
+    # bool is an int subclass, but true/false is not a number in the file
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{where}: expected an integer, got {type(value).__name__}")
+    return value
 
 
 def _fraction_obj(value, where: str) -> Fraction:
@@ -269,7 +292,18 @@ def instance_to_json(inst: Instance) -> dict:
     return doc
 
 
+def _build(cls, *args, **kwargs):
+    """cls(*args, **kwargs); a well-formed file describing an invalid
+    instance raises ParseError."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
 def instance_from_json(doc: dict) -> Instance:
+    """The instance a file's JSON object describes; any malformed shape or
+    out-of-range value raises ParseError naming the field."""
     if "kind" not in doc:
         raise ParseError('missing "kind"')
     kind = doc["kind"]
@@ -277,35 +311,45 @@ def instance_from_json(doc: dict) -> Instance:
     if not isinstance(meta, dict):
         raise ParseError('"meta" must be an object')
     m = meta.get("m")
+    if m is not None and _json_int(m, "meta.m") < 1:
+        raise ParseError(f"meta.m: must be at least 1, got {m}")
     seed = meta.get("seed")
+    if seed is not None:
+        _json_int(seed, "meta.seed")
     planted = meta.get("planted_x")
-    planted = tuple(planted) if planted is not None else None
+    if planted is not None:
+        planted = tuple(_json_int(b, f"meta.planted_x[{i}]")
+                        for i, b in enumerate(_list(planted, "meta.planted_x")))
 
     if kind == "sssp":
         if "weight_rows" not in doc:
             raise ParseError('missing "weight_rows"')
         rows = tuple(
-            tuple(_int_str(w, f"weight_rows[{i}][{j}]") for j, w in enumerate(row))
-            for i, row in enumerate(doc["weight_rows"])
+            tuple(_int_str(w, f"weight_rows[{i}][{j}]")
+                  for j, w in enumerate(_list(row, f"weight_rows[{i}]")))
+            for i, row in enumerate(_list(doc["weight_rows"], "weight_rows"))
         )
+        if not rows:
+            raise ParseError("weight_rows: need at least one row")
         if "rho" not in doc:
             raise ParseError('missing "rho"')
         if "delta" not in doc:
             raise ParseError('missing "delta"')
-        return SsspInstance(rows, rho=_fraction_obj(doc["rho"], "rho"),
-                            delta=_fraction_obj(doc["delta"], "delta"),
-                            m=m, seed=seed, planted_x=planted)
+        return _build(SsspInstance, rows, rho=_fraction_obj(doc["rho"], "rho"),
+                      delta=_fraction_obj(doc["delta"], "delta"),
+                      m=m, seed=seed, planted_x=planted)
 
     if kind in ("ssp", "partition"):
         if "weights" not in doc:
             raise ParseError('missing "weights"')
-        weights = tuple(_int_str(w, f"weights[{i}]") for i, w in enumerate(doc["weights"]))
+        weights = tuple(_int_str(w, f"weights[{i}]")
+                        for i, w in enumerate(_list(doc["weights"], "weights")))
         if kind == "ssp":
             if "target" not in doc:
                 raise ParseError('missing "target"')
             target = _int_str(doc["target"], "target")
-            return SspInstance(weights, target=target, m=m, seed=seed)
-        return PartitionInstance(weights, m=m, seed=seed, planted_x=planted)
+            return _build(SspInstance, weights, target=target, m=m, seed=seed)
+        return _build(PartitionInstance, weights, m=m, seed=seed, planted_x=planted)
 
     raise ParseError(f'unknown "kind": {kind!r}')
 
@@ -319,6 +363,8 @@ def loads_instance(text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     return instance_from_json(doc)

@@ -256,7 +256,9 @@ class SsspCertificate:
 
 
 @dataclass(frozen=True)
-class _Geometry:
+class Geometry:
+    """Shells, merge tree and (M, B) guess grids of one instance and eps_b."""
+
     shells: tuple[Shell, ...]
     tree: MergeTree
     grids: tuple[LevelGrid, ...]
@@ -270,7 +272,8 @@ class _Geometry:
     grid_size: int
 
 
-def _geometry(inst: SsspInstance, eps_b: float | None) -> _Geometry:
+def geometry(inst: SsspInstance, eps_b: float | None) -> Geometry:
+    """The search geometry; eps_b None picks delta / (8 * B_up)."""
     n = inst.n
     if inst.rho * inst.delta < inst.n:
         raise ValueError(
@@ -300,16 +303,16 @@ def _geometry(inst: SsspInstance, eps_b: float | None) -> _Geometry:
     grid_size = b_count
     for g in grids:
         grid_size *= g.count
-    return _Geometry(shells, tree, grids, axis, axis_norm, root_radius,
-                     b_lo, b_up, eps_b, b_count, grid_size)
+    return Geometry(shells, tree, grids, axis, axis_norm, root_radius,
+                    b_lo, b_up, eps_b, b_count, grid_size)
 
 
 def grid_cardinality(inst: SsspInstance, *, eps_b: float | None = None) -> int:
     """Number of (M, B) leaves in the guess grid, which the leaf budget bounds."""
-    return _geometry(inst, eps_b).grid_size
+    return geometry(inst, eps_b).grid_size
 
 
-def _leaf_window(geo: _Geometry, scale: int, total_w: int, y_lo: float, y_hi: float,
+def _leaf_window(geo: Geometry, scale: int, total_w: int, y_lo: float, y_hi: float,
                  b_val: float) -> tuple[int, int] | None:
     """Integer target window [t_lo, t_hi] of the leaf whose single-shell band
     is (y_lo, y_hi) under the circumference guess b_val; None when even the
@@ -344,7 +347,8 @@ def _indices_near(count: int, pos: float, accept) -> list[int]:
 
 def solve(inst: SsspInstance, *, eps_b: float | None = None,
           leaf_budget: int = 10_000_000, c: int = 2,
-          budget_cells: int | None = None) -> SsspCertificate | None:
+          budget_cells: int | None = None,
+          geo: Geometry | None = None) -> SsspCertificate | None:
     """Search over cross-term guesses M and the circumference guess B,
     witness first.
 
@@ -367,8 +371,12 @@ def solve(inst: SsspInstance, *, eps_b: float | None = None,
     satisfy and keeps the first whose leaf window holds its tau.  The
     smallest such key over all survivors is exactly the leaf walk's first
     hit.  The leaf budget still bounds the grid size, walked or not.
+
+    A caller that needs the grid size whatever the outcome passes
+    geo = geometry(inst, eps_b) so it is built once; eps_b is then unused.
     """
-    geo = _geometry(inst, eps_b)
+    if geo is None:
+        geo = geometry(inst, eps_b)
     if geo.grid_size > leaf_budget:
         raise GridBudgetError(
             f"(M, B) grid has {geo.grid_size} leaves, budget is {leaf_budget}",

@@ -1,0 +1,191 @@
+"""Banded reachability tables against tables that keep every bit.
+
+solve_family gives its table the window low, so each row keeps only
+band(k) = [max(0, lo - P(k-1)), min(hi, Suf(k))], the sums that can still
+end in the window.  Every answer read from a banded table must equal the
+one an unbanded table (the same rows, every bit up to the cap) and the
+per-target scan give, under both row kernels.
+"""
+
+import math
+import random
+
+import pytest
+
+from slabsum import dp, slab
+from slabsum.dp import ReachTable, family_window, solve_family
+from slabsum.instance import PartitionInstance, gen_planted, gen_random
+from slabsum.quantize import QuantizationUnderflow, quantize
+from slabsum.slab import decide, dump_verdict
+from test_solve_family import per_target_family
+
+# the witness walk reuses its rebuild slots across blocks; a slot still held
+# another row's bits above this row's band, and the walk lost its target
+SLOT_REUSE_U = (52, 96, 152, 62, 171, 257, 217, 260, 98)
+
+
+class Unbanded(ReachTable):
+    def __init__(self, *args, window_lo=None, **kwargs):
+        super().__init__(*args, **kwargs)
+
+
+def unbanded_family(q):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dp, "ReachTable", Unbanded)
+        return solve_family(q)
+
+
+def exact_scale(u):
+    """big_n at which quantize returns u itself: ceil(|u|) scales each
+    weight by less than 1 + 1/|u|, which never reaches the next integer."""
+    norm = sum(w * w for w in u)
+    root = math.isqrt(norm)
+    return root if root * root == norm else root + 1
+
+
+def _seeded_cases(count: int):
+    """(instance, scale) pairs: random, planted and dominated weights, with
+    n up to 40 so the witness walk crosses several checkpoint blocks."""
+    cases = []
+    seed = 1000
+    while len(cases) < count:
+        rng = random.Random(seed)
+        kind = seed % 3
+        if kind == 0:
+            inst = gen_random(rng.randint(1, 40), rng.randint(1, 10), seed)
+            scale = {"c": rng.choice((2, 3))}
+        elif kind == 1:
+            inst = gen_planted(rng.randrange(2, 42, 2), rng.randint(1, 8), seed)
+            scale = {"c": 2}
+        else:
+            n = rng.randint(2, 40)
+            weights = [rng.randrange(500, 1500) for _ in range(n - 1)]
+            weights.insert(rng.randrange(n), 10**6 + rng.randrange(1000))
+            inst = PartitionInstance(tuple(weights))
+            scale = {"big_n": 3000 + rng.randrange(4000)}
+        seed += 1
+        try:
+            quantize(inst, **scale)
+        except QuantizationUnderflow:
+            continue
+        cases.append((inst, scale))
+    return cases
+
+
+CASES = _seeded_cases(240) + [(PartitionInstance(SLOT_REUSE_U),
+                               {"big_n": exact_scale(SLOT_REUSE_U)})]
+
+
+@pytest.fixture(params=["int", "array"])
+def kernel(request, monkeypatch):
+    # most rows here are below 2^17 bits; a zero threshold forces numpy rows
+    if request.param == "array":
+        monkeypatch.setattr(dp, "ARRAY_KERNEL_MIN_BITS", 0)
+    return request.param
+
+
+def test_banded_family_matches_unbanded_and_per_target(kernel, monkeypatch):
+    hits = full_fills = 0
+    for inst, scale in CASES:
+        q = quantize(inst, **scale)
+        got = solve_family(q)
+        for want in (unbanded_family(q), per_target_family(q)):
+            assert (got.hit, got.targets_scanned) == (want.hit, want.targets_scanned), \
+                (inst.weights, scale)
+        hits += got.hit is not None
+        full_fills += got.targets_scanned > 1
+        banded = dump_verdict(decide(inst, **scale))
+        with monkeypatch.context() as patch:
+            patch.setattr(dp, "ReachTable", Unbanded)
+            assert dump_verdict(decide(inst, **scale)) == banded
+        with monkeypatch.context() as patch:
+            patch.setattr(slab, "solve_family", per_target_family)
+            assert dump_verdict(decide(inst, **scale)) == banded
+    # hits and misses, early-stopped and full fills are all exercised
+    assert 0 < hits < len(CASES)
+    assert 0 < full_fills < len(CASES)
+
+
+def _tables(u, kernel_name, monkeypatch):
+    """A banded and an unbanded table over u for its shifted window, both
+    filled to row 1."""
+    if kernel_name == "array":
+        monkeypatch.setattr(dp, "ARRAY_KERNEL_MIN_BITS", 0)
+    fam = family_window(sum(u), len(u))
+    lo, hi = fam.window[0], fam.window[-1]
+    return ReachTable(u, hi, window_lo=lo), ReachTable(u, hi), fam
+
+
+def _random_items(count: int):
+    rng = random.Random(7)
+    return [SLOT_REUSE_U] + [tuple(rng.randrange(1, rng.choice((8, 64, 300)))
+                                   for _ in range(rng.randint(1, 30)))
+                             for _ in range(count)]
+
+
+@pytest.mark.parametrize("kernel_name", ["int", "array"])
+def test_band_bits_equal_unbanded_rows_and_zero_above(kernel_name, monkeypatch):
+    for u in _random_items(60):
+        banded, full, _ = _tables(u, kernel_name, monkeypatch)
+        n = len(u)
+        # ascending k, as the witness walk goes, so slots are reused
+        for k in range(1, n + 2):
+            lo, hi = banded.band(k)
+            top = banded.band(k - 1)[1] if k > 1 else hi
+            row, ref = banded.reach(k), full.reach(k)
+            test = banded.kernel.test
+            for s in range(lo, top + 1):
+                want = test(ref, s) if s <= hi else False
+                assert test(row, s) == want, (u, k, s)
+
+
+@pytest.mark.parametrize("kernel_name", ["int", "array"])
+def test_banded_witnesses_of_every_window_target(kernel_name, monkeypatch):
+    for u in _random_items(60):
+        banded, full, fam = _tables(u, kernel_name, monkeypatch)
+        row = full.reach(1)
+        taus = [tau for tau in fam.window if full.kernel.test(row, tau)]
+        assert banded.witnesses(taus) == full.witnesses(taus), u
+
+
+def test_slot_reuse_regression(monkeypatch):
+    monkeypatch.setattr(dp, "ARRAY_KERNEL_MIN_BITS", 0)
+    inst = PartitionInstance(SLOT_REUSE_U)
+    q = quantize(inst, big_n=exact_scale(SLOT_REUSE_U))
+    assert q.u == SLOT_REUSE_U
+    assert family_window(q.total_u, q.n).window[::17] == (674, 691)
+    got = solve_family(q)
+    for want in (unbanded_family(q), per_target_family(q)):
+        assert (got.hit, got.targets_scanned) == (want.hit, want.targets_scanned)
+
+
+def test_cells_sum_the_band_widths():
+    u = tuple(random.Random(3).randrange(1, 200) for _ in range(25))
+    fam = family_window(sum(u), len(u))
+    lo, hi = fam.window[0], fam.window[-1]
+    table = ReachTable(u, hi, window_lo=lo)
+    prefix = 0
+    want = 0
+    for k in range(1, len(u) + 1):
+        suffix = sum(u[k - 1:])
+        want += min(hi, suffix) - max(0, lo - prefix) + 1
+        prefix += u[k - 1]
+    assert table.rows_done == len(u)
+    assert table.cells == want
+    assert ReachTable(u, hi).cells == len(u) * (hi + 1)
+
+
+def test_planted_decision_fills_at_most_55_percent():
+    built = []
+
+    class Recorded(ReachTable):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dp, "ReachTable", Recorded)
+        verdict = decide(gen_planted(256, 16, seed=5), c=2)
+    assert isinstance(verdict, slab.VertexFound)
+    (table,) = built
+    assert table.cells <= 0.55 * table.rows_done * (table.cap + 1)

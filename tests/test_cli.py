@@ -140,6 +140,25 @@ def test_solve_sssp_budget_exit_code(tmp_path, monkeypatch):
     assert run(["solve-sssp", "--in", str(p)]) == 2
 
 
+def test_exhausted_sssp_builds_its_geometry_once(tmp_path, monkeypatch):
+    from slabsum import sssp
+
+    inst = SsspInstance(((1, 1, 1, 1), (1, 1, 1, 2)), rho=Fraction(8), delta=Fraction(1))
+    want = json.dumps(sssp.result_to_json(None, curvature=sssp.curvature_term(inst),
+                                          grid_size=sssp.grid_cardinality(inst)),
+                      sort_keys=True, indent=2) + "\n"
+    calls = []
+    build_shells = sssp.build_shells
+    monkeypatch.setattr(sssp, "build_shells", lambda i: calls.append(i) or build_shells(i))
+    p = tmp_path / "ss.json"
+    out = tmp_path / "res.json"
+    write_instance(p, inst)
+    assert run(["solve-sssp", "--in", str(p), "--out", str(out)]) == 0
+    assert out.read_text() == want
+    assert json.loads(want)["found"] is False
+    assert len(calls) == 1
+
+
 def test_repeated_calls_match_fresh_processes(tmp_path, monkeypatch, capsys):
     # the parser is built once per process; every call must still behave as
     # the first call of a fresh interpreter

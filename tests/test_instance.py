@@ -1,7 +1,13 @@
+import contextlib
+import io
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from slabsum import cli
 from slabsum.instance import (ParseError, PartitionInstance, SspInstance,
                               SsspInstance, dumps_instance, gen_planted,
                               gen_random, gen_sssp_random, loads_instance,
@@ -113,3 +119,137 @@ def test_unknown_kind():
 def test_invalid_json_is_parse_error():
     with pytest.raises(ParseError):
         loads_instance("{not json")
+
+
+MALFORMED = [
+    ({"kind": "partition", "weights": "123"}, "weights: expected a list"),
+    ({"kind": "partition", "weights": [" 7"]}, r"weights\[0\]: not a decimal"),
+    ({"kind": "partition", "weights": ["4_0"]}, r"weights\[0\]: not a decimal"),
+    ({"kind": "partition", "weights": ["+3"]}, r"weights\[0\]: not a decimal"),
+    ({"kind": "partition", "weights": ["\u0663"]}, r"weights\[0\]: not a decimal"),
+    ({"kind": "partition", "weights": ["3"], "meta": {"m": "x"}}, "meta.m: expected an integer"),
+    ({"kind": "partition", "weights": ["3"], "meta": {"m": True}}, "meta.m: expected an integer"),
+    ({"kind": "partition", "weights": ["3"], "meta": {"m": 0}}, "meta.m: must be at least 1"),
+    ({"kind": "partition", "weights": ["3"], "meta": {"planted_x": 5}}, "meta.planted_x: expected a list"),
+    ({"kind": "partition", "weights": ["3"], "meta": {"planted_x": [2]}}, "planted_x must be 0/1"),
+    ({"kind": "partition", "weights": ["3"], "meta": {"seed": 1.5}}, "meta.seed: expected an integer"),
+    ({"kind": "partition", "weights": ["0"]}, "must be >= 1"),
+    ({"kind": "ssp", "weights": ["3"], "target": "9"}, "target outside"),
+    ({"kind": "sssp", "weight_rows": "12", "rho": {"num": "1", "den": "1"},
+      "delta": {"num": "1", "den": "1"}}, "weight_rows: expected a list"),
+    ({"kind": "sssp", "weight_rows": ["12"], "rho": {"num": "1", "den": "1"},
+      "delta": {"num": "1", "den": "1"}}, r"weight_rows\[0\]: expected a list"),
+    ({"kind": "sssp", "weight_rows": [], "rho": {"num": "1", "den": "1"},
+      "delta": {"num": "1", "den": "1"}}, "at least one row"),
+    ({"kind": "sssp", "weight_rows": [["1", "2"]], "rho": {"num": "1", "den": "1"},
+      "delta": {"num": "1", "den": "1"}, "meta": {"planted_x": [5]}}, "planted_x length"),
+]
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED)
+def test_malformed_shapes_are_parse_errors(doc, message, tmp_path, capsys):
+    with pytest.raises(ParseError, match=message):
+        loads_instance(json.dumps(doc))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["decide-slab", "--in", str(path), "--c", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("slabsum: error: ") and "Traceback" not in err
+
+
+def test_deeply_nested_json_is_parse_error():
+    with pytest.raises(ParseError):
+        loads_instance("[" * 100_000 + "]" * 100_000)
+
+
+# -- fuzzing: every JSON value loads or raises ParseError ---------------------
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_decimals = (st.integers(min_value=-3, max_value=3000).map(str)
+             | st.integers(min_value=10**300, max_value=10**320).map(str)
+             | st.sampled_from([" 7", "4_0", "+3", "1e3", "", "\u0663", "0x10"]))
+_fractions = st.fixed_dictionaries({"num": _decimals, "den": _decimals}) | _json_values
+_meta = st.fixed_dictionaries({}, optional={
+    "m": st.integers(min_value=-2, max_value=40) | _json_values,
+    "seed": st.integers() | _json_values,
+    "planted_x": st.lists(st.integers(min_value=-1, max_value=2), max_size=8) | _json_values,
+    "n": st.integers(min_value=0, max_value=8) | _json_values,
+})
+_rows = st.lists(st.lists(_decimals, min_size=1, max_size=8), max_size=4)
+_instance_like = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["partition", "ssp", "sssp", "other"]) | _json_values},
+    optional={
+        "weights": st.lists(_decimals, max_size=8) | _json_values,
+        "target": _decimals | _json_values,
+        "weight_rows": _rows | _json_values,
+        "rho": _fractions,
+        "delta": _fractions,
+        "meta": _meta | _json_values,
+    },
+)
+_weight = (st.integers(min_value=1, max_value=3000).map(str)
+           | st.integers(min_value=10**300, max_value=10**310).map(str))
+
+
+@st.composite
+def _valid_like(draw):
+    """Mostly well-formed instances, so the solvers behind the CLI run too."""
+    kind = draw(st.sampled_from(["partition", "ssp", "sssp"]))
+    meta = draw(st.fixed_dictionaries({}, optional={
+        "m": st.integers(min_value=1, max_value=16), "seed": st.integers(0, 99)}))
+    if kind == "sssp":
+        p = draw(st.sampled_from([1, 2]))
+        n = draw(st.integers(min_value=p + 1, max_value=7))
+        rows = [draw(st.lists(_weight, min_size=n, max_size=n)) for _ in range(p)]
+        return {"kind": kind, "weight_rows": rows, "meta": meta,
+                "rho": {"num": str(draw(st.integers(1, 20))), "den": "1"},
+                "delta": {"num": str(draw(st.integers(1, 2))), "den": "1"}}
+    weights = draw(st.lists(_weight, min_size=1, max_size=8))
+    doc = {"kind": kind, "weights": weights, "meta": meta}
+    if kind == "ssp":
+        doc["target"] = str(draw(st.integers(0, sum(int(w) for w in weights))))
+    elif draw(st.booleans()):
+        meta["planted_x"] = draw(st.lists(st.integers(0, 1), min_size=len(weights),
+                                          max_size=len(weights)))
+    return doc
+
+
+ANY_DOC = _json_values | _instance_like | _valid_like()
+
+
+@settings(max_examples=400, deadline=None)
+@given(ANY_DOC)
+def test_any_json_loads_or_raises_parse_error(doc):
+    try:
+        inst = loads_instance(json.dumps(doc))
+    except ParseError:
+        return
+    assert loads_instance(dumps_instance(inst)) == inst
+
+
+COMMANDS = (
+    ["decide-slab", "--c", "2"],
+    ["solve-fptas", "--epsilon", "1/4"],
+    ["solve-exact"],
+    ["solve-sssp", "--leaf-budget", "100000"],
+    ["oracle", "--cap", "10"],
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=ANY_DOC, command=st.sampled_from(COMMANDS))
+def test_cli_exit_code_on_any_json(doc, command, tmp_path, monkeypatch):
+    # a small budget keeps every accepted instance quick
+    monkeypatch.setenv("SLABSUM_BUDGET_CELLS", "1000000")
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*command, "--in", str(path)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -25,7 +25,7 @@ from slabsum.sssp import (GridBudgetError, SsspCertificate, cross_sum, curvature
 
 
 def leafwalk_solve(inst, *, eps_b=None, leaf_budget=10_000_000, c=2, budget_cells=None):
-    geo = sssp._geometry(inst, eps_b)
+    geo = sssp.geometry(inst, eps_b)
     if geo.grid_size > leaf_budget:
         raise GridBudgetError(
             f"(M, B) grid has {geo.grid_size} leaves, budget is {leaf_budget}",
@@ -216,7 +216,7 @@ def test_p4_grids_are_refused_by_default_and_sound_when_allowed():
 
 def test_one_table_budget_is_checked_before_allocation():
     inst = FIXTURES["c10"]
-    geo = sssp._geometry(inst, None)
+    geo = sssp.geometry(inst, None)
     w = [int(inst.n ** 2 * a / geo.axis_norm) for a in geo.axis]
     need = (inst.n + 1) * (sum(w) + 1)
     with pytest.raises(BudgetError) as info:
