@@ -12,13 +12,13 @@ from .dp import BudgetError, FamilyScan, TargetFamily, dp_decide, dp_run, family
 from .instance import (ParseError, PartitionInstance, SspInstance, SsspInstance,
                        gen_planted, gen_random, gen_sssp_random, read_instance,
                        write_instance)
-from .numerics import Surd, cmp_sqrt, floor_div_sqrt, isqrt, sqrt_diff_within
+from .numerics import Surd, cmp_sqrt, floor_div_sqrt, sqrt_diff_within
 from .oracle import (OracleReport, SlabPopulation, enumerate_partition, eval_L0,
                      min_vertex_L0, slab_population)
 from .quantize import (QuantizationUnderflow, QuantizedNormal, ShiftBound,
                        quantize, shift_bound_report, unit_gap_bound)
-from .slab import (EmptyInner, SlabSpec, SlabVerdict, VertexFound, decide,
-                   decide_epsilon, dump_verdict, slab_contains, verdict_to_json)
+from .slab import (EmptyInner, SlabVerdict, VertexFound, decide, decide_epsilon,
+                   dump_verdict, slab_contains, verdict_to_json)
 from .sssp import (GridBudgetError, LevelGrid, MergeNode, MergeTree, Shell,
                    SsspCertificate, build_shells, correction_grids, cross_sum,
                    curvature_term, exact_l0, merge_pair, merge_tree, solve,

@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,8 +20,8 @@ from . import slab as slab_mod
 from . import sssp as sssp_mod
 from .dp import BudgetError, dp_decide
 from .instance import (ParseError, PartitionInstance, SspInstance, SsspInstance,
-                       fraction_json, gen_planted, gen_random, gen_sssp_random,
-                       read_instance, write_instance)
+                       dumps_json, fraction_json, gen_planted, gen_random,
+                       gen_sssp_random, read_instance, write_instance)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -30,42 +29,8 @@ EXIT_BUDGET = 2
 EXIT_ANOMALY = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation; one input source, and --c / --big-n are exclusive
-    (argparse enforces both)."""
-
-    command: str
-    in_path: str | None = None
-    out_path: str | None = None
-    c: int | None = None
-    big_n: int | None = None
-    epsilon: Fraction | None = None
-    delta: Fraction | None = None
-    rho: Fraction | None = None
-    seed: int = 0
-    oracle_cap: int = 26
-    leaf_budget: int = 10_000_000
-
-
-def config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        in_path=getattr(args, "in_path", None),
-        out_path=getattr(args, "out", None),
-        c=getattr(args, "c", None),
-        big_n=getattr(args, "big_n", None),
-        epsilon=getattr(args, "epsilon", None),
-        delta=getattr(args, "delta", None),
-        rho=getattr(args, "rho", None),
-        seed=getattr(args, "seed", 0),
-        oracle_cap=getattr(args, "cap", 26),
-        leaf_budget=getattr(args, "leaf_budget", 10_000_000),
-    )
-
-
 def _emit(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = dumps_json(doc)
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
     else:
@@ -159,28 +124,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_gen(args, cfg: RunConfig) -> int:
+def _cmd_gen(args) -> int:
     if args.kind == "sssp":
-        inst = gen_sssp_random(args.n, args.bits, args.p, cfg.seed,
-                               rho=cfg.rho, delta=cfg.delta,
+        inst = gen_sssp_random(args.n, args.bits, args.p, args.seed,
+                               rho=args.rho, delta=args.delta,
                                duplicate=args.planted)
     elif args.planted:
-        inst = gen_planted(args.n, args.bits, cfg.seed)
+        inst = gen_planted(args.n, args.bits, args.seed)
     else:
-        inst = gen_random(args.n, args.bits, cfg.seed)
-    write_instance(cfg.out_path, inst)
+        inst = gen_random(args.n, args.bits, args.seed)
+    write_instance(args.out, inst)
     return EXIT_OK
 
 
-def _cmd_solve_exact(args, cfg: RunConfig) -> int:
-    inst = read_instance(cfg.in_path)
+def _cmd_solve_exact(args) -> int:
+    inst = read_instance(args.in_path)
     if isinstance(inst, SspInstance):
         target = inst.target
         weights = inst.weights
     elif isinstance(inst, PartitionInstance):
         if inst.total % 2 != 0:
             _emit({"solved": False, "x": None, "target": None,
-                   "note": "odd weight total, no exact balanced subset"}, cfg.out_path)
+                   "note": "odd weight total, no exact balanced subset"}, args.out)
             return EXIT_OK
         target = inst.total // 2
         weights = inst.weights
@@ -188,7 +153,7 @@ def _cmd_solve_exact(args, cfg: RunConfig) -> int:
         raise ParseError("solve-exact needs an ssp or partition instance")
     x = dp_decide(weights, target)
     _emit({"solved": x is not None, "x": list(x) if x else None,
-           "target": str(target)}, cfg.out_path)
+           "target": str(target)}, args.out)
     return EXIT_OK
 
 
@@ -198,52 +163,50 @@ def _require_partition(inst) -> PartitionInstance:
     raise ParseError("this command needs a partition instance")
 
 
-def _cmd_solve_fptas(args, cfg: RunConfig) -> int:
-    inst = _require_partition(read_instance(cfg.in_path))
-    verdict = slab_mod.decide_epsilon(inst, cfg.epsilon)
-    _emit(slab_mod.verdict_to_json(verdict), cfg.out_path)
+def _cmd_solve_fptas(args) -> int:
+    inst = _require_partition(read_instance(args.in_path))
+    verdict = slab_mod.decide_epsilon(inst, args.epsilon)
+    _emit(slab_mod.verdict_to_json(verdict), args.out)
     return EXIT_ANOMALY if verdict.anomaly else EXIT_OK
 
 
-def _cmd_decide_slab(args, cfg: RunConfig) -> int:
-    inst = _require_partition(read_instance(cfg.in_path))
-    verdict = slab_mod.decide(inst, c=cfg.c, big_n=cfg.big_n)
-    _emit(slab_mod.verdict_to_json(verdict), cfg.out_path)
+def _cmd_decide_slab(args) -> int:
+    inst = _require_partition(read_instance(args.in_path))
+    verdict = slab_mod.decide(inst, c=args.c, big_n=args.big_n)
+    _emit(slab_mod.verdict_to_json(verdict), args.out)
     return EXIT_ANOMALY if verdict.anomaly else EXIT_OK
 
 
-def _cmd_solve_sssp(args, cfg: RunConfig) -> int:
-    inst = read_instance(cfg.in_path)
+def _cmd_solve_sssp(args) -> int:
+    inst = read_instance(args.in_path)
     if not isinstance(inst, SsspInstance):
         raise ParseError("solve-sssp needs an sssp instance")
     # one geometry gives the grid size of an exhausted search as well
     geo = sssp_mod.geometry(inst, args.eps_b)
-    cert = sssp_mod.solve(inst, leaf_budget=cfg.leaf_budget,
-                          c=cfg.c if cfg.c is not None else 2, geo=geo)
+    cert = sssp_mod.solve(inst, leaf_budget=args.leaf_budget, c=args.c, geo=geo)
     doc = sssp_mod.result_to_json(cert, curvature=sssp_mod.curvature_term(inst),
                                   grid_size=geo.grid_size)
-    _emit(doc, cfg.out_path)
+    _emit(doc, args.out)
     return EXIT_OK
 
 
-def _cmd_oracle(args, cfg: RunConfig) -> int:
-    inst = read_instance(cfg.in_path)
+def _cmd_oracle(args) -> int:
+    inst = read_instance(args.in_path)
     if not isinstance(inst, PartitionInstance):
         raise ParseError("oracle needs a partition instance")
-    report = oracle_mod.enumerate_partition(inst, max_n=cfg.oracle_cap)
+    report = oracle_mod.enumerate_partition(inst, max_n=args.cap)
     _emit({
         "count": report.count,
         "min_distance_sq": fraction_json(report.min_distance_sq),
         "solutions": [list(x) for x in report.solutions],
-    }, cfg.out_path)
+    }, args.out)
     return EXIT_OK
 
 
-def _cmd_bench(args, cfg: RunConfig) -> int:
-    rows = bench_mod.run_bench(args.n, c=cfg.c if cfg.c is not None else 2,
-                               repeats=args.repeats, bits=args.bits,
-                               seed=cfg.seed)
-    bench_mod.write_csv(rows, cfg.out_path)
+def _cmd_bench(args) -> int:
+    rows = bench_mod.run_bench(args.n, c=args.c, repeats=args.repeats, bits=args.bits,
+                               seed=args.seed)
+    bench_mod.write_csv(rows, args.out)
     slope = bench_mod.fit_loglog_slope(rows) if len(set(args.n)) > 1 else None
     sys.stdout.write(json.dumps({"slope": slope, "rows": len(rows)},
                                 sort_keys=True) + "\n")
@@ -268,7 +231,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return _COMMANDS[args.command](args, config_from_args(args))
+        return _COMMANDS[args.command](args)
     except BudgetError as exc:
         print(f"slabsum: budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET

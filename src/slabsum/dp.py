@@ -34,12 +34,9 @@ import os
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .quantize import QuantizedNormal
+import numpy as _np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+from .quantize import QuantizedNormal
 
 BUDGET_ENV = "SLABSUM_BUDGET_CELLS"
 DEFAULT_BUDGET_CELLS = 1 << 34
@@ -57,16 +54,19 @@ class BudgetError(RuntimeError):
         self.cap = cap
 
 
-def budget_cap(budget_cells: int | None = None) -> int:
-    if budget_cells is not None:
-        return budget_cells
-    env = os.environ.get(BUDGET_ENV)
-    if env:
+def check_budget(cells: int, budget_cells: int | None = None) -> None:
+    """Refuse a table of `cells` cells above the budget: budget_cells if
+    given, else $SLABSUM_BUDGET_CELLS, else DEFAULT_BUDGET_CELLS."""
+    limit = budget_cells
+    if limit is None:
+        env = os.environ.get(BUDGET_ENV)
         try:
-            return int(env)
+            limit = int(env) if env else DEFAULT_BUDGET_CELLS
         except ValueError:
             raise BudgetError(f"{BUDGET_ENV} must be an integer, got {env!r}") from None
-    return DEFAULT_BUDGET_CELLS
+    if cells > limit:
+        raise BudgetError(f"reach table needs {cells} cells, budget is {limit}",
+                          cells=cells, cap=limit)
 
 
 class _IntKernel:
@@ -176,18 +176,18 @@ class _ArrayKernel:
 
 
 def _make_kernel(cap: int):
-    if _np is not None and cap + 1 >= ARRAY_KERNEL_MIN_BITS:
+    if cap + 1 >= ARRAY_KERNEL_MIN_BITS:
         return _ArrayKernel(cap)
     return _IntKernel(cap)
 
 
 @dataclass(frozen=True)
 class DpRun:
-    """One decision run: verdict, optional witness, and table-work accounting."""
+    """One decision run: verdict, witness (None when tau is not attained),
+    and table-work accounting."""
 
     x: tuple[int, ...] | None
     found: bool
-    rows_done: int
     cells: int
 
 
@@ -211,16 +211,9 @@ class ReachTable:
     """
 
     def __init__(self, u: tuple[int, ...], cap: int, *, budget_cells: int | None = None,
-                 early_stop_bit: int | None = None, keep_checkpoints: bool = True,
-                 window_lo: int | None = None):
+                 early_stop_bit: int | None = None, window_lo: int | None = None):
         n = len(u)
-        cells = (n + 1) * (cap + 1)
-        limit = budget_cap(budget_cells)
-        if cells > limit:
-            raise BudgetError(
-                f"reach table needs {cells} cells, budget is {limit}",
-                cells=cells, cap=limit,
-            )
+        check_budget((n + 1) * (cap + 1), budget_cells)
         self.u = u
         self.cap = cap
         self.window_lo = window_lo
@@ -236,16 +229,9 @@ class ReachTable:
         band = self.band
         row = kern.one()
         self.checkpoints = {n + 1: kern.snapshot(row, band(n + 1))}
-        next_cp = n + 1 - self.stride if keep_checkpoints else 0
+        next_cp = n + 1 - self.stride
         k = 1
-        if isinstance(kern, _IntKernel) and not keep_checkpoints and early_stop_bit is None:
-            # pure decision scan: no bookkeeping, and the final row does not
-            # depend on item order
-            mask = kern.mask
-            for w in u:
-                if w <= cap:
-                    row = (row | (row << w)) & mask
-        elif isinstance(kern, _IntKernel):
+        if isinstance(kern, _IntKernel):
             # inlined hot loop: a method call per item would dominate narrow rows
             mask = kern.mask
             probe = (1 << early_stop_bit) if early_stop_bit is not None else 0
@@ -346,32 +332,28 @@ class ReachTable:
         return [tuple(x) for x in xs]
 
 
-def dp_run(u, tau: int, *, want_solution: bool = True, early_stop: bool = True,
-           budget_cells: int | None = None) -> DpRun:
-    """Decide whether a subset of u sums to tau; reconstruct a witness if asked.
+def dp_run(u, tau: int, *, budget_cells: int | None = None) -> DpRun:
+    """Decide whether a subset of u sums to tau, and if so give the
+    lexicographically smallest solution vector.
 
-    The returned vector is the lexicographically smallest solution.
+    The fill stops at the first row whose sums reach tau.
     """
     u = tuple(u)
     n = len(u)
     if tau < 0 or tau > sum(u):
-        return DpRun(None, False, 0, 0)
+        return DpRun(None, False, 0)
     if tau == 0:
-        return DpRun((0,) * n if want_solution else None, True, 0, 0)
+        return DpRun((0,) * n, True, 0)
 
-    table = ReachTable(u, tau, budget_cells=budget_cells,
-                       early_stop_bit=tau if early_stop else None,
-                       keep_checkpoints=want_solution)
-    cells = table.rows_done * (tau + 1)
+    table = ReachTable(u, tau, budget_cells=budget_cells, early_stop_bit=tau)
     if table.stopped_at is None and not table.contains(1, tau):
-        return DpRun(None, False, table.rows_done, cells)
-    x = table.witness(tau) if want_solution else None
-    return DpRun(x, True, table.rows_done, cells)
+        return DpRun(None, False, table.cells)
+    return DpRun(table.witness(tau), True, table.cells)
 
 
 def dp_decide(u, tau: int, *, budget_cells: int | None = None) -> tuple[int, ...] | None:
     """Witness for sum(u[i]*x[i]) == tau, or None if no subset attains it."""
-    return dp_run(u, tau, want_solution=True, budget_cells=budget_cells).x
+    return dp_run(u, tau, budget_cells=budget_cells).x
 
 
 def attainable_witnesses(u, *, budget_cells: int | None = None

@@ -17,6 +17,32 @@ class ParseError(ValueError):
     """Malformed instance file; the message names the offending field."""
 
 
+def _checked_weights(weights, m: int | None, name: str) -> tuple[int, ...]:
+    """weights as a nonempty tuple of ints, each at least 1 and, when m is
+    given, at most m bits wide; an error names the entry as name[i]."""
+    weights = tuple(int(w) for w in weights)
+    if not weights:
+        raise ValueError(f"{name}: need at least one weight")
+    for i, w in enumerate(weights):
+        if w < 1:
+            raise ValueError(f"{name}[{i}] = {w} must be >= 1")
+        if m is not None and w.bit_length() > m:
+            raise ValueError(f"{name}[{i}] = {w} exceeds {m} bits")
+    return weights
+
+
+def _checked_planted(planted_x, n: int) -> tuple[int, ...] | None:
+    """planted_x as a tuple of n entries, each 0 or 1; None stays None."""
+    if planted_x is None:
+        return None
+    planted_x = tuple(int(b) for b in planted_x)
+    if len(planted_x) != n:
+        raise ValueError("planted_x length mismatch")
+    if any(b not in (0, 1) for b in planted_x):
+        raise ValueError("planted_x must be 0/1")
+    return planted_x
+
+
 @dataclass(frozen=True)
 class SspInstance:
     """Decide whether some subset of `weights` sums exactly to `target`."""
@@ -27,14 +53,7 @@ class SspInstance:
     seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        if len(self.weights) < 1:
-            raise ValueError("need at least one weight")
-        for i, w in enumerate(self.weights):
-            if w < 1:
-                raise ValueError(f"weights[{i}] = {w} must be >= 1")
-            if self.m is not None and w.bit_length() > self.m:
-                raise ValueError(f"weights[{i}] = {w} exceeds {self.m} bits")
+        object.__setattr__(self, "weights", _checked_weights(self.weights, self.m, "weights"))
         if not 0 <= self.target <= sum(self.weights):
             raise ValueError("target outside [0, sum(weights)]")
 
@@ -61,20 +80,8 @@ class PartitionInstance:
     planted_x: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        if len(self.weights) < 1:
-            raise ValueError("need at least one weight")
-        for i, w in enumerate(self.weights):
-            if w < 1:
-                raise ValueError(f"weights[{i}] = {w} must be >= 1")
-            if self.m is not None and w.bit_length() > self.m:
-                raise ValueError(f"weights[{i}] = {w} exceeds {self.m} bits")
-        if self.planted_x is not None:
-            object.__setattr__(self, "planted_x", tuple(int(b) for b in self.planted_x))
-            if len(self.planted_x) != len(self.weights):
-                raise ValueError("planted_x length mismatch")
-            if any(b not in (0, 1) for b in self.planted_x):
-                raise ValueError("planted_x must be 0/1")
+        object.__setattr__(self, "weights", _checked_weights(self.weights, self.m, "weights"))
+        object.__setattr__(self, "planted_x", _checked_planted(self.planted_x, len(self.weights)))
 
     @property
     def n(self) -> int:
@@ -105,7 +112,8 @@ class SsspInstance:
     planted_x: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        rows = tuple(tuple(int(w) for w in row) for row in self.weight_rows)
+        rows = tuple(_checked_weights(row, self.m, f"weight_rows[{i}]")
+                     for i, row in enumerate(self.weight_rows))
         object.__setattr__(self, "weight_rows", rows)
         object.__setattr__(self, "rho", Fraction(self.rho))
         object.__setattr__(self, "delta", Fraction(self.delta))
@@ -118,15 +126,7 @@ class SsspInstance:
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError(f"weight_rows[{i}] has length {len(row)}, expected {n}")
-            for j, w in enumerate(row):
-                if w < 1:
-                    raise ValueError(f"weight_rows[{i}][{j}] = {w} must be >= 1")
-        if self.planted_x is not None:
-            object.__setattr__(self, "planted_x", tuple(int(b) for b in self.planted_x))
-            if len(self.planted_x) != n:
-                raise ValueError("planted_x length mismatch")
-            if any(b not in (0, 1) for b in self.planted_x):
-                raise ValueError("planted_x must be 0/1")
+        object.__setattr__(self, "planted_x", _checked_planted(self.planted_x, n))
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         if self.delta <= 0:
@@ -258,6 +258,12 @@ def _fraction_obj(value, where: str) -> Fraction:
     return Fraction(num, den)
 
 
+def dumps_json(doc: dict) -> str:
+    """The byte-stable text of every instance and verdict file: sorted keys,
+    two-space indent, trailing newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def fraction_json(q: Fraction) -> dict:
     """An exact rational as {"num", "den"} decimal strings, lowest terms: the
     one serialization every instance and verdict file uses."""
@@ -355,7 +361,7 @@ def instance_from_json(doc: dict) -> Instance:
 
 
 def dumps_instance(inst: Instance) -> str:
-    return json.dumps(instance_to_json(inst), sort_keys=True, indent=2) + "\n"
+    return dumps_json(instance_to_json(inst))
 
 
 def loads_instance(text: str) -> Instance:

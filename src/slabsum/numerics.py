@@ -16,13 +16,6 @@ from fractions import Fraction
 RationalLike = int | Fraction
 
 
-def isqrt(a: int) -> int:
-    """Largest r with r*r <= a."""
-    if a < 0:
-        raise ValueError("isqrt of a negative number")
-    return math.isqrt(a)
-
-
 def floor_div_sqrt(a: int, b: int) -> int:
     """Floor of a / sqrt(b) for integers a >= 0, b > 0.
 

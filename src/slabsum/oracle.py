@@ -130,34 +130,15 @@ def slab_population(weights, center, delta=None, *, delta_sq=None,
     return SlabPopulation(count, tuple(witnesses))
 
 
-def eval_L0(x, shells) -> Fraction | float:
-    """Sum of squared shell residuals (|x - C_i|^2 - R_i^2)^2 at a point.
+def eval_L0(x, shells) -> Fraction:
+    """Exact sum of squared shell residuals (|x - C_i|^2 - R_i^2)^2 at a point.
 
-    Exact when every shell either carries an anchor row (centers of the form
+    Every shell must either carry an anchor row (centers of the form
     C - rho * S_i/|S_i|, evaluated at a hypercube vertex through the identity
-    |x - C_i|^2 - R_i^2 = 2*rho*S_i.(x - C)/|S_i|) or has rational data.
-    Otherwise falls back to floats; eval_L0_error_bound estimates that path's
-    rounding error.
+    |x - C_i|^2 - R_i^2 = 2*rho*S_i.(x - C)/|S_i|) or have rational data;
+    Shell.residual_sq_exact raises ValueError otherwise.
     """
-    total: Fraction | float = Fraction(0)
-    for shell in shells:
-        r = shell.residual_sq_exact(x)
-        if r is None:
-            total = float(total) + float(shell.residual(x)) ** 2
-        else:
-            total = total + r
-    return total
-
-
-def eval_L0_error_bound(x, shells) -> float:
-    """Crude forward-error estimate for the float path of eval_L0."""
-    eps = 2.0 ** -52
-    bound = 0.0
-    for shell in shells:
-        r = abs(float(shell.residual(x)))
-        scale = sum(float(c) ** 2 for c in shell.center) + abs(float(shell.radius_sq))
-        bound += 8 * eps * (r + scale) * max(r, scale)
-    return bound
+    return sum((shell.residual_sq_exact(x) for shell in shells), Fraction(0))
 
 
 def min_vertex_L0(inst: SsspInstance, *, max_n: int = DEFAULT_MAX_N) -> tuple[Fraction, tuple[int, ...]]:

@@ -10,13 +10,12 @@ dropped; it is surfaced with the anomaly flag set.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .dp import BudgetError, solve_family
-from .instance import PartitionInstance, fraction_json
+from .instance import PartitionInstance, dumps_json, fraction_json
 from .quantize import quantize
 
 
@@ -40,16 +39,6 @@ def slab_contains(normal, center, delta, x, *, delta_sq=None) -> bool:
     else:
         r2 = 2 * sum(s * (Fraction(a) - Fraction(b)) for s, a, b in zip(normal, x, center))
     return r2 * r2 <= delta_sq * norm_sq
-
-
-@dataclass(frozen=True)
-class SlabSpec:
-    normal: tuple[int, ...]
-    center: tuple[Fraction, ...] | None  # None = hypercube center
-    thickness: Fraction
-
-    def contains(self, x) -> bool:
-        return slab_contains(self.normal, self.center, self.thickness, x)
 
 
 @dataclass(frozen=True)
@@ -166,4 +155,4 @@ def verdict_to_json(v: SlabVerdict) -> dict:
 
 def dump_verdict(v: SlabVerdict) -> str:
     """Canonical byte-stable serialization (fixed key order, trailing newline)."""
-    return json.dumps(verdict_to_json(v), sort_keys=True, indent=2) + "\n"
+    return dumps_json(verdict_to_json(v))

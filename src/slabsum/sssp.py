@@ -47,7 +47,8 @@ def _rationalize(value):
 
 @dataclass(frozen=True)
 class Shell:
-    """Thick spherical shell |x - center| within half_thickness of sqrt(radius_sq).
+    """Shell around the sphere |x - center| = sqrt(radius_sq); its thickness
+    is the instance's delta, which the search applies.
 
     `anchor` and `rho` record the exact provenance of solver-built shells
     (center = cube center - rho * anchor/|anchor|), enabling exact residual
@@ -56,7 +57,6 @@ class Shell:
 
     center: tuple
     radius_sq: object
-    half_thickness: Fraction | None = None
     anchor: tuple[int, ...] | None = None
     rho: Fraction | None = None
 
@@ -68,34 +68,27 @@ class Shell:
         """|x - center|^2 - radius_sq; exact when the data is rational."""
         return sum((xk - ck) ** 2 for xk, ck in zip(x, self.center)) - self.radius_sq
 
-    def residual_sq_exact(self, x) -> Fraction | None:
-        """Exact squared residual, or None when only floats are available."""
-        if self.anchor is not None:
-            if all(b in (0, 1) for b in x):
-                d = 2 * sum(w for w, b in zip(self.anchor, x) if b) - sum(self.anchor)
-                m = sum(w * w for w in self.anchor)
-                return self.rho * self.rho * Fraction(d * d, m)
-            return None
-        if _rational_data(self.center) and isinstance(self.radius_sq, Fraction) \
-                and _rational_data(x):
-            r = self.residual(x)
-            return r * r
-        return None
-
-
-def _rational_data(coords) -> bool:
-    return all(isinstance(c, (int, Fraction)) for c in coords)
+    def residual_sq_exact(self, x) -> Fraction:
+        """Exact squared residual: by the anchor identity at a 0/1 vertex,
+        else directly from rational data; ValueError when neither applies."""
+        if self.anchor is not None and all(b in (0, 1) for b in x):
+            d = 2 * sum(w for w, b in zip(self.anchor, x) if b) - sum(self.anchor)
+            m = sum(w * w for w in self.anchor)
+            return self.rho * self.rho * Fraction(d * d, m)
+        r = self.residual(x)
+        if not isinstance(r, Fraction):
+            raise ValueError("no exact residual: the shell or the point has float data")
+        return r * r
 
 
 @dataclass(frozen=True)
 class MergeNode:
-    """One sphere standing in for 2^level shells; leaves wrap single shells."""
+    """One sphere standing in for 2^level shells; a leaf is one shell's sphere."""
 
     center: tuple
     radius_sq: object
     level: int
     children: tuple["MergeNode", "MergeNode"] | None = None
-    shell: Shell | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(_rationalize(c) for c in self.center))
@@ -129,7 +122,7 @@ def merge_tree(shells) -> MergeTree:
     if p < 1 or (p & (p - 1)) != 0:
         raise ValueError(f"shell count {p} must be a power of two")
     level = tuple(
-        MergeNode(center=s.center, radius_sq=s.radius_sq, level=0, shell=s)
+        MergeNode(center=s.center, radius_sq=s.radius_sq, level=0)
         for s in shells
     )
     levels = [level]
@@ -182,11 +175,6 @@ class LevelGrid:
         return -self.mbar + i * self.step
 
 
-def leaf_residual_bound(rho: Fraction, n: int) -> Fraction:
-    """|shell residual| <= rho*sqrt(n) at any vertex; squared form rho^2*n."""
-    return rho * rho * n
-
-
 def correction_grids(p: int, n: int, rho: Fraction, delta: Fraction) -> tuple[LevelGrid, ...]:
     """One grid per merge step q = 0..log2(p)-1.
 
@@ -215,8 +203,7 @@ def build_shells(inst: SsspInstance) -> tuple[Shell, ...]:
     for row in inst.weight_rows:
         norm = math.sqrt(sum(w * w for w in row))
         center = tuple(0.5 - rho_f * w / norm for w in row)
-        shells.append(Shell(center=center, radius_sq=radius_sq,
-                            half_thickness=inst.delta / 2, anchor=row, rho=inst.rho))
+        shells.append(Shell(center=center, radius_sq=radius_sq, anchor=row, rho=inst.rho))
     return tuple(shells)
 
 

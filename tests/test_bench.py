@@ -1,6 +1,8 @@
 import math
 
-from slabsum.bench import BenchRow, bench_instance, fit_loglog_slope, run_bench, write_csv
+from slabsum.bench import (BenchRow, bench_instance, fit_loglog_slope, run_bench,
+                           scan_window, write_csv)
+from slabsum.dp import family_window
 
 
 def test_fit_slope_on_synthetic_power_law():
@@ -21,6 +23,15 @@ def test_bench_instance_skips_underflow_seeds():
     inst, q = bench_instance(16, 12, 0, 2)
     assert q.big_n == 256
     assert min(q.u) >= 1
+
+
+def test_scan_window_counts_every_full_fill():
+    # each window target costs one fill of n rows of tau+1 bits
+    for n, bits, seed in ((16, 6, 0), (17, 8, 3), (24, 6, 1)):
+        _, q = bench_instance(n, bits, seed, 2)
+        window = family_window(q.total_u, q.n).window
+        assert window[0] > 0
+        assert scan_window(q) == (len(window), sum(n * (tau + 1) for tau in window))
 
 
 def test_run_bench_rows_and_csv(tmp_path):

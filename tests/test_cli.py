@@ -132,6 +132,14 @@ def test_bench_command_smoke(tmp_path, capsys):
     assert "slope" in report
 
 
+def test_bench_budget_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setenv("SLABSUM_BUDGET_CELLS", "10")
+    out = tmp_path / "bench.csv"
+    assert run(["bench", "--n", "16,24", "--repeats", "1", "--bits", "6",
+                "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_solve_sssp_budget_exit_code(tmp_path, monkeypatch):
     p = tmp_path / "ss.json"
     write_instance(p, SsspInstance(((1, 1, 1, 1), (1, 1, 1, 2)), rho=Fraction(8),

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slabsum import dp
+from slabsum.bench import scan_window
 from slabsum.dp import (BudgetError, ReachTable, dp_decide, dp_run,
                         family_window, solve_family)
 from slabsum.instance import PartitionInstance
@@ -107,36 +108,22 @@ def test_solve_family_symmetric_half_target():
 
 def test_early_stop_and_full_rows_agree():
     rng = random.Random(5)
-    u = [rng.randrange(1, 64) for _ in range(12)]
+    u = tuple(rng.randrange(1, 64) for _ in range(12))
     for tau in range(0, sum(u) + 1, 7):
-        fast = dp_run(u, tau)
-        slow = dp_run(u, tau, early_stop=False)
-        assert fast.found == slow.found
-        assert fast.x == slow.x
+        fast = ReachTable(u, tau, early_stop_bit=tau)
+        slow = ReachTable(u, tau)
+        assert (fast.stopped_at is not None) == slow.contains(1, tau)
+        if slow.contains(1, tau):
+            assert fast.witness(tau) == slow.witness(tau)
 
 
-def test_decision_scan_matches_reconstructing_table():
-    # the decision-only path keeps no checkpoints and, on narrow rows, skips
-    # all bookkeeping; verdicts must match the reconstructing table
-    rng = random.Random(99)
-    for trial in range(20):
-        n = rng.randint(1, 20)
-        u = [rng.randrange(1, 1 << rng.randint(1, 9)) for _ in range(n)]
-        total = sum(u)
-        taus = {rng.randrange(0, total + 1) for _ in range(30)}
-        taus.update((0, total, total // 2, 63, 64, 65, 127, 128, 129))
-        for tau in taus:
-            if tau > total:
-                continue
-            for early in (True, False):
-                quick = dp_run(u, tau, want_solution=False, early_stop=early)
-                full = dp_run(u, tau, want_solution=True, early_stop=early)
-                assert quick.found == full.found, (u, tau, early)
-
-
-def test_decision_scan_budget_error():
-    with pytest.raises(BudgetError):
-        dp_run([5, 5, 5], 10, want_solution=False, budget_cells=10)
+def test_decision_scan_budget_error(monkeypatch):
+    # the per-target reference scan refuses before filling any row
+    q = quantize(PartitionInstance((3, 4)), big_n=10)
+    monkeypatch.setenv(dp.BUDGET_ENV, "10")
+    with pytest.raises(BudgetError) as err:
+        scan_window(q)
+    assert err.value.cells == (q.n + 1) * (family_window(q.total_u, q.n).window[-1] + 1)
 
 
 def test_word_boundary_widths():
@@ -144,5 +131,4 @@ def test_word_boundary_widths():
     u = [63, 64, 65, 1]
     sums = all_subset_sums(u)
     for tau in range(sum(u) + 1):
-        assert dp_run(u, tau, want_solution=False).found == (tau in sums)
         assert (dp_decide(u, tau) is not None) == (tau in sums)

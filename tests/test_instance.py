@@ -121,6 +121,9 @@ def test_invalid_json_is_parse_error():
         loads_instance("{not json")
 
 
+SSSP_OVER_M = {"kind": "sssp", "weight_rows": [["1000", "1", "1"]], "meta": {"m": 2},
+               "rho": {"num": "8", "den": "1"}, "delta": {"num": "1", "den": "1"}}
+
 MALFORMED = [
     ({"kind": "partition", "weights": "123"}, "weights: expected a list"),
     ({"kind": "partition", "weights": [" 7"]}, r"weights\[0\]: not a decimal"),
@@ -143,6 +146,7 @@ MALFORMED = [
       "delta": {"num": "1", "den": "1"}}, "at least one row"),
     ({"kind": "sssp", "weight_rows": [["1", "2"]], "rho": {"num": "1", "den": "1"},
       "delta": {"num": "1", "den": "1"}, "meta": {"planted_x": [5]}}, "planted_x length"),
+    (SSSP_OVER_M, r"weight_rows\[0\]\[0\] = 1000 exceeds 2 bits"),
 ]
 
 
@@ -155,6 +159,13 @@ def test_malformed_shapes_are_parse_errors(doc, message, tmp_path, capsys):
     assert cli.main(["decide-slab", "--in", str(path), "--c", "2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("slabsum: error: ") and "Traceback" not in err
+
+
+def test_sssp_rows_over_m_bits_exit_1(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(SSSP_OVER_M))
+    assert cli.main(["solve-sssp", "--in", str(path)]) == 1
+    assert "weight_rows[0][0]" in capsys.readouterr().err
 
 
 def test_deeply_nested_json_is_parse_error():

@@ -5,24 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slabsum.numerics import Surd, cmp_sqrt, floor_div_sqrt, isqrt, sqrt_diff_within
-
-
-def test_isqrt_examples():
-    assert isqrt(0) == 0
-    assert isqrt(25) == 5
-    assert isqrt(26) == 5
-
-
-def test_isqrt_rejects_negative():
-    with pytest.raises(ValueError):
-        isqrt(-1)
-
-
-@given(st.integers(min_value=0, max_value=10**40))
-def test_isqrt_defining_inequality(a):
-    r = isqrt(a)
-    assert r * r <= a < (r + 1) * (r + 1)
+from slabsum.numerics import Surd, cmp_sqrt, floor_div_sqrt, sqrt_diff_within
 
 
 def test_floor_div_sqrt_examples():

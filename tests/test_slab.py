@@ -8,9 +8,8 @@ from slabsum.dp import BudgetError
 from slabsum.instance import PartitionInstance, gen_planted, gen_random
 from slabsum.oracle import slab_population
 from slabsum.quantize import QuantizationUnderflow, quantize
-from slabsum.slab import (EmptyInner, SlabSpec, VertexFound, decide,
-                          decide_epsilon, dump_verdict, slab_contains,
-                          verdict_to_json)
+from slabsum.slab import (EmptyInner, VertexFound, decide, decide_epsilon,
+                          dump_verdict, slab_contains, verdict_to_json)
 
 
 def test_slab_contains_balanced_vertex():
@@ -20,9 +19,8 @@ def test_slab_contains_balanced_vertex():
 
 def test_slab_contains_explicit_center_and_spec():
     center = (Fraction(1, 2), Fraction(1, 2))
-    spec = SlabSpec((1, 1), center, Fraction(3))
-    assert spec.contains((1, 1))  # distance sqrt(2)/2 < 3/2
-    assert not SlabSpec((1, 1), center, Fraction(1, 2)).contains((1, 1))
+    assert slab_contains((1, 1), center, Fraction(3), (1, 1))  # distance sqrt(2)/2 < 3/2
+    assert not slab_contains((1, 1), center, Fraction(1, 2), (1, 1))
 
 
 def test_slab_contains_matches_floats():

@@ -10,7 +10,7 @@ from slabsum.instance import SsspInstance, gen_planted
 from slabsum.numerics import Surd, sqrt_diff_within
 from slabsum.oracle import eval_L0, iter_vertex_sums, min_vertex_L0
 from slabsum.sssp import (GridBudgetError, Shell, build_shells, correction_grids,
-                          cross_sum, curvature_term, exact_l0, leaf_residual_bound,
+                          cross_sum, curvature_term, exact_l0,
                           merge_pair, merge_tree, result_to_json, solve,
                           telescoped_l0)
 
@@ -123,7 +123,7 @@ def test_cross_sum_bound_against_enumeration():
         inst = SsspInstance(rows, rho=Fraction(9), delta=Fraction(1))
         tree = merge_tree(build_shells(inst))
         grids = correction_grids(4, n, inst.rho, inst.delta)
-        bound_leaf = float(leaf_residual_bound(inst.rho, n))
+        bound_leaf = float(inst.rho * inst.rho * n)  # |leaf residual| <= rho*sqrt(n)
         for mask, _ in iter_vertex_sums(rows[0]):
             x = tuple((mask >> k) & 1 for k in range(n))
             for node in tree.levels[0]:
