@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""Per-stage split of one slab decision: reachability fill against witness walk.
+
+For planted 16-bit instances at n in {128, 256, 512}, at the scales the
+decide-planted workload uses (N = n^2, `decide-slab --c 2`, and N = 4n^2,
+`solve-fptas --epsilon 1/(4n)`), it builds the table solve_family builds,
+times the fill and the walk of the hit's witness apart, and records the
+checkpoints stored, the megabytes of row storage the table holds after the
+walk, and the bits the walk rebuilds (rows re-derived times the width of
+each).  Each figure is the median over seeds 0..4.
+
+    PYTHONPATH=src python scripts/bench_decide.py --before b15bf71
+
+measures the tree in src/ as "after" and, with --before REV, the src/ of
+git revision REV (unpacked with `git archive` into a temporary directory)
+as "before", each in its own interpreter, and writes both to
+BENCH_decide.json.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from io import BytesIO
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIZES = (128, 256, 512)
+SEEDS = range(5)
+
+
+def walk_bits(table, tau, x) -> int:
+    """Bits the witness walk of tau rebuilds: each row between checkpoints
+    over the bits it re-derives.  A tree whose table keeps `_block` rebuilds
+    whole band rows; the slice walk rebuilds each block on [sigma - B, sigma]."""
+    keys = sorted(table.checkpoints)
+    u, sigma, total = table.u, tau, 0
+    for k, cp in zip(keys, keys[1:]):
+        if hasattr(table, "_block"):
+            # numpy rows rebuild their band words; int rows rebuild from bit 0
+            floor = 0 if isinstance(table.checkpoints[cp], int) else None
+            total += sum(hi - (lo if floor is None else floor) + 1
+                         for lo, hi in map(table.band, range(k + 1, cp)))
+        else:
+            total += (cp - k - 1) * (sigma - max(0, sigma - sum(u[k - 1: cp - 1])) + 1)
+        sigma -= sum(w for w, b in zip(u[k - 1: cp - 1], x[k - 1: cp - 1]) if b)
+    return total
+
+
+def held_mb(table) -> float:
+    rows = list(table.checkpoints.values()) + list(getattr(table.kernel, "_slots", []))
+    return sum(getattr(r, "nbytes", None) or sys.getsizeof(r) for r in rows) / 2**20
+
+
+def measure_case(n: int, big_n: int, seed: int) -> dict:
+    from slabsum.dp import ReachTable, family_window
+    from slabsum.instance import gen_planted
+    from slabsum.quantize import quantize
+
+    q = quantize(gen_planted(n, 16, seed), big_n=big_n)
+    fam = family_window(q.total_u, q.n)
+    order = sorted(fam.window, key=lambda tau: (abs(2 * tau - q.total_u), tau))
+    t0 = time.perf_counter()
+    table = ReachTable(q.u, fam.window[-1], early_stop_bit=order[0], window_lo=fam.window[0])
+    t1 = time.perf_counter()
+    tau = order[0] if table.stopped_at is not None else next(
+        t for t in order if table.kernel.test(table.reach(1), t))
+    x = table.witness(tau)
+    t2 = time.perf_counter()
+    assert sum(w for w, b in zip(q.u, x) if b) == tau
+    return {"fill_ms": (t1 - t0) * 1e3, "walk_ms": (t2 - t1) * 1e3,
+            "checkpoints": len(table.checkpoints), "held_mb": held_mb(table),
+            "walk_bits": walk_bits(table, tau, x)}
+
+
+def measure() -> list[dict]:
+    rows = []
+    for n in SIZES:
+        for scale, big_n in (("c=2", n * n), ("N=4n^2", 4 * n * n)):
+            runs = [measure_case(n, big_n, seed) for seed in SEEDS]
+            row = {"n": n, "scale": scale, "big_n": big_n, "seeds": len(runs)}
+            for key in runs[0]:
+                row[key] = round(statistics.median(r[key] for r in runs), 3)
+            rows.append(row)
+    return rows
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as f:
+            return next(line.split(":", 1)[1].strip() for line in f
+                        if line.startswith("model name"))
+    except (OSError, StopIteration):
+        return platform.machine()
+
+
+def measure_tree(src: Path) -> list[dict]:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, __file__, "--stages"], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--before", metavar="REV", help="git revision measured as before")
+    parser.add_argument("--stages", action="store_true",
+                        help="print this interpreter's measurements as JSON and exit")
+    args = parser.parse_args()
+    if args.stages:
+        json.dump(measure(), sys.stdout)
+        return
+    doc = {"command": "PYTHONPATH=src python scripts/bench_decide.py"
+                      + (f" --before {args.before}" if args.before else ""),
+           "machine": {"python": platform.python_version(), "cpu": cpu_model(),
+                       "nproc": os.cpu_count()},
+           "median_of_seeds": list(SEEDS)}
+    if args.before:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.before, "src"],
+                                 check=True, capture_output=True).stdout
+        with tempfile.TemporaryDirectory() as tmp:
+            with tarfile.open(fileobj=BytesIO(archive)) as tar:
+                tar.extractall(tmp, filter="data")
+            doc["before"] = {"rev": args.before, "stages": measure_tree(Path(tmp) / "src")}
+    doc["after"] = {"stages": measure_tree(ROOT / "src")}
+    (ROOT / "BENCH_decide.json").write_text(json.dumps(doc, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

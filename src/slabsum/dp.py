@@ -3,9 +3,11 @@
 Rows are bit sets: bit s of row k means some subset of items k..n sums to s.
 The suffix orientation makes "prefer excluding the earliest items"
 reconstruction produce the lexicographically smallest solution vector.
-A table keeps one rolling row; reconstruction re-derives rows between
-checkpoints spaced ~sqrt(n) apart, so memory stays near O(sqrt(n) * cap)
-bits while every answer remains exact.
+A table keeps one rolling row and stores a checkpoint row every `stride`
+rows.  The witness walk re-derives each block between checkpoints on a
+Python int holding only the slice of bits the walk can read there,
+[sigma - B, sigma] for the walk's sum sigma and the block's item sum B, so
+no row other than a checkpoint is ever stored.
 
 Bits at or below tau of a row do not depend on the cap once cap >= tau, so
 solve_family answers the whole shifted-target window from one table filled
@@ -28,7 +30,6 @@ where avoiding per-op allocation is worth roughly an order of magnitude.
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 from dataclasses import dataclass
@@ -77,23 +78,19 @@ class _IntKernel:
     a banded table allows.  The band arguments are therefore ignored."""
 
     def __init__(self, cap: int):
-        self.cap = cap
         self.mask = (1 << (cap + 1)) - 1
 
     def one(self):
         return 1
 
-    def apply(self, row: int, w: int) -> int:
-        if w > self.cap:
-            return row
-        return (row | (row << w)) & self.mask
-
-    def rebuild(self, row: int, w: int, slot: int, band, top: int) -> int:
-        return self.apply(row, w)
-
     @staticmethod
     def snapshot(row: int, band) -> int:
         return row
+
+    @staticmethod
+    def bits(row: int, lo: int, hi: int) -> int:
+        """Bits lo..hi of row, as an int whose bit 0 is bit lo."""
+        return (row >> lo) & ((1 << (hi - lo + 1)) - 1)
 
     @staticmethod
     def test(row: int, s: int) -> bool:
@@ -101,12 +98,10 @@ class _IntKernel:
 
 
 class _ArrayKernel:
-    """Rows as uint64 arrays; shift/or stream through two reused buffers, and
-    rows rebuilt between checkpoints land in reused slot buffers.
+    """Rows as uint64 arrays; shift/or stream through two reused buffers.
 
-    A band (L, H) limits every operation to words L>>6 .. H>>6.  Stored rows
-    keep the words above their band zero up to the highest bit a reader
-    asks for, so a bit above a row's band always reads as unreachable."""
+    A band (L, H) limits every operation to words L>>6 .. H>>6.  The words
+    above a row's band are never written, so they read as zero."""
 
     def __init__(self, cap: int):
         self.cap = cap
@@ -114,26 +109,21 @@ class _ArrayKernel:
         self.top_mask = _np.uint64((1 << ((cap & 63) + 1)) - 1)
         self._sh = _np.zeros(self.words, _np.uint64)
         self._carry = _np.zeros(self.words, _np.uint64)
-        self._slots: list = []
 
     def one(self):
         row = _np.zeros(self.words, _np.uint64)
         row[0] = 1
         return row
 
-    def apply(self, row, w: int, band, out=None):
-        """row | row << w on the words of band = (L, H) bits, into out, or
-        into row itself when out is None.  Band bits read only row's bits in
-        [L - w, H]; out's words outside the band are left as they were."""
+    def apply(self, row, w: int, band):
+        """row |= row << w on the words of band = (L, H) bits.  Band bits
+        read only row's bits in [L - w, H]; words outside the band are left
+        as they were."""
         first, last = band[0] >> 6, band[1] >> 6
         q, r = divmod(w, 64)
-        start = min(max(first, q), last + 1)  # the lowest word shifted bits land in
-        if out is None:
-            out = row
-        else:
-            out[first:start] = row[first:start]
+        start = max(first, q)  # the lowest word shifted bits land in
         if start > last:
-            return out
+            return row
         sh = self._sh[: last + 1 - start]
         src = row[start - q: last + 1 - q]
         if r == 0:
@@ -145,23 +135,10 @@ class _ArrayKernel:
                 carry = self._carry[: last + 1 - lo]
                 _np.right_shift(row[lo - q - 1: last - q], _np.uint64(64 - r), out=carry)
                 _np.bitwise_or(sh[lo - start:], carry, out=sh[lo - start:])
-        _np.bitwise_or(row[start: last + 1], sh, out=out[start: last + 1])
+        _np.bitwise_or(row[start: last + 1], sh, out=row[start: last + 1])
         if last == self.words - 1:
-            out[last] &= self.top_mask
-        return out
-
-    def rebuild(self, row, w: int, slot: int, band, top: int):
-        """apply() from row into buffer `slot`, which the next rebuild into
-        that slot overwrites.  A reused slot still holds another row's bits,
-        which can be a superset of this row's, so its words above the band
-        up to bit `top`, the highest bit a reader of this row asks for, are
-        zeroed.  Slots are separate arrays made on first use, so a table
-        whose blocks stay short never holds stride rows."""
-        if slot == len(self._slots):
-            self._slots.append(_np.empty(self.words, _np.uint64))
-        out = self._slots[slot]
-        out[(band[1] >> 6) + 1: (top >> 6) + 1] = 0
-        return self.apply(row, w, band, out)
+            row[last] &= self.top_mask
+        return row
 
     def snapshot(self, row, band):
         """A fresh copy of row's band words, zero elsewhere."""
@@ -173,6 +150,13 @@ class _ArrayKernel:
     @staticmethod
     def test(row, s: int) -> bool:
         return (int(row[s >> 6]) >> (s & 63)) & 1 == 1
+
+    @staticmethod
+    def bits(row, lo: int, hi: int) -> int:
+        """Bits lo..hi of row, as an int whose bit 0 is bit lo."""
+        words = row[lo >> 6: (hi >> 6) + 1].astype("<u8", copy=False)
+        value = int.from_bytes(words.tobytes(), "little") >> (lo & 63)
+        return value & ((1 << (hi - lo + 1)) - 1)
 
 
 def _make_kernel(cap: int):
@@ -187,15 +171,16 @@ class DpRun:
     and table-work accounting."""
 
     x: tuple[int, ...] | None
-    found: bool
     cells: int
 
 
 class ReachTable:
     """Checkpointed suffix reachability rows for one (items, cap) pair.
 
-    reach(k) is the bit set of sums attainable from items k..n (1-based);
-    reach(n+1) = {0}.  Rows between checkpoints are rebuilt on demand.
+    Row k is the bit set of sums attainable from items k..n (1-based); row
+    n+1 = {0}.  The table stores row n+1, every stride-th row below it and
+    the last row filled; reach(k) gives a stored row, and witnesses()
+    re-derives the rows between checkpoints on the bits it reads.
 
     Given window_lo, the table is banded: only sums that can still end in
     [window_lo, cap] are kept.  Row k then needs only its bits in
@@ -205,9 +190,8 @@ class ReachTable:
     row to the next; a bit above the band is zero (no subset of items k..n
     reaches it, or it lies above the cap), and bits below the band may hold
     stale values.  Every bit a window decision reads is in the band: the
-    window bits of reach(1), and each sigma that witnesses() tests in
-    reach(k+1), which is at least tau - P(k-1).  The budget still counts
-    (n+1)*(cap+1).
+    window bits of row 1, and each sigma that witnesses() tests in row k+1,
+    which is at least tau - P(k-1).  The budget still counts (n+1)*(cap+1).
     """
 
     def __init__(self, u: tuple[int, ...], cap: int, *, budget_cells: int | None = None,
@@ -255,10 +239,9 @@ class ReachTable:
                     self.stopped_at = k
                     break
         self.rows_done = n - k + 1 if n else 0
-        last = max(1, self.stopped_at or 1)
-        self.checkpoints.setdefault(last, kern.snapshot(row, band(last)))
+        # the fill is done, so the rolling row itself is the last row
+        self.checkpoints.setdefault(self.stopped_at or 1, row)
         self._cp_keys = sorted(self.checkpoints)
-        self._block: dict[int, object] = {}
 
     @property
     def cells(self) -> int:
@@ -279,31 +262,9 @@ class ReachTable:
         return max(0, self.window_lo - self._suf[1] + suf), min(self.cap, suf)
 
     def reach(self, k: int):
-        """Row for items k..n; valid for k >= stopped_at (or 1 on a full run).
-
-        A rebuilt row may share a buffer with the next block, so read it
-        before calling reach for a row outside the current block.  On a
-        banded table only the bits of band(k), and the zero bits above it
-        up to band(k-1)'s top, are valid.
-        """
-        row = self.checkpoints.get(k)
-        if row is not None:
-            return row
-        row = self._block.get(k)
-        if row is not None:
-            return row
-        kern = self.kernel
-        band = self.band
-        cp = self._cp_keys[bisect.bisect_left(self._cp_keys, k)]
-        self._block.clear()
-        row = self.checkpoints[cp]
-        for slot, j in enumerate(range(cp - 1, k - 1, -1)):
-            row = kern.rebuild(row, self.u[j - 1], slot, band(j), band(j - 1)[1])
-            self._block[j] = row
-        return row
-
-    def contains(self, k: int, sigma: int) -> bool:
-        return 0 <= sigma <= self.cap and self.kernel.test(self.reach(k), sigma)
+        """Stored row k: n+1, a checkpoint, or the last row filled (stopped_at,
+        else 1).  On a banded table only the bits of band(k) are valid."""
+        return self.checkpoints[k]
 
     def witness(self, tau: int) -> tuple[int, ...]:
         """Lexicographically smallest 0/1 vector whose chosen items sum to
@@ -315,19 +276,34 @@ class ReachTable:
         return self.witnesses((tau,))[0]
 
     def witnesses(self, taus) -> list[tuple[int, ...]]:
-        """witness(tau) for every tau in taus, from one pass over the rows,
-        so each row between checkpoints is rebuilt once for all of them."""
-        n = len(self.u)
-        xs = [[0] * n for _ in taus]
+        """witness(tau) for every tau in taus, from one walk over the rows.
+
+        Item k is taken iff the walk's sigma is not in row k+1.  The block
+        that decides items k..cp-1, cp the next checkpoint, reads rows
+        k+1..cp, which checkpoint cp gives by items k+1..cp-1.  Sigma only
+        drops by the items taken, so with B = u_k + ... + u_{cp-1}, every bit
+        those rows are derived from or read at lies in
+        [min sigma - B, max sigma] over taus, and the block is rebuilt on
+        that slice alone.  Bits below a band stay below it, so on a banded
+        table they cannot reach a bit the walk reads."""
+        u = self.u
+        xs = [[0] * len(u) for _ in taus]
         sigmas = list(taus)
-        test = self.kernel.test
-        for k in range(self.stopped_at or 1, n + 1):
-            row = self.reach(k + 1)
-            for j, sigma in enumerate(sigmas):
-                # sigma stays a set bit of reach(k), so it is never negative
-                if not test(row, sigma):
-                    xs[j][k - 1] = 1
-                    sigmas[j] = sigma - self.u[k - 1]
+        k = self._cp_keys[0]
+        for cp in self._cp_keys[1:] if sigmas else ():
+            hi = max(sigmas)
+            lo = max(0, min(sigmas) - sum(u[k - 1: cp - 1]))
+            mask = (1 << (hi - lo + 1)) - 1
+            rows = [self.kernel.bits(self.checkpoints[cp], lo, hi)]
+            for j in range(cp - 1, k, -1):
+                rows.append((rows[-1] | rows[-1] << u[j - 1]) & mask)
+            for row in reversed(rows):
+                for i, sigma in enumerate(sigmas):
+                    # sigma stays a set bit of row k, so it is never negative
+                    if not (row >> (sigma - lo)) & 1:
+                        xs[i][k - 1] = 1
+                        sigmas[i] = sigma - u[k - 1]
+                k += 1
         assert not any(sigmas)
         return [tuple(x) for x in xs]
 
@@ -341,14 +317,14 @@ def dp_run(u, tau: int, *, budget_cells: int | None = None) -> DpRun:
     u = tuple(u)
     n = len(u)
     if tau < 0 or tau > sum(u):
-        return DpRun(None, False, 0)
+        return DpRun(None, 0)
     if tau == 0:
-        return DpRun((0,) * n, True, 0)
+        return DpRun((0,) * n, 0)
 
     table = ReachTable(u, tau, budget_cells=budget_cells, early_stop_bit=tau)
-    if table.stopped_at is None and not table.contains(1, tau):
-        return DpRun(None, False, table.cells)
-    return DpRun(table.witness(tau), True, table.cells)
+    if table.stopped_at is None and not table.kernel.test(table.reach(1), tau):
+        return DpRun(None, table.cells)
+    return DpRun(table.witness(tau), table.cells)
 
 
 def dp_decide(u, tau: int, *, budget_cells: int | None = None) -> tuple[int, ...] | None:

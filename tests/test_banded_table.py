@@ -127,9 +127,9 @@ def _random_items(count: int):
 def test_band_bits_equal_unbanded_rows_and_zero_above(kernel_name, monkeypatch):
     for u in _random_items(60):
         banded, full, _ = _tables(u, kernel_name, monkeypatch)
-        n = len(u)
-        # ascending k, as the witness walk goes, so slots are reused
-        for k in range(1, n + 2):
+        # the stored rows: row n+1, the checkpoints and row 1
+        assert set(banded.checkpoints) == set(full.checkpoints) >= {1, len(u) + 1}
+        for k in banded.checkpoints:
             lo, hi = banded.band(k)
             top = banded.band(k - 1)[1] if k > 1 else hi
             row, ref = banded.reach(k), full.reach(k)

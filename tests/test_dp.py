@@ -30,8 +30,9 @@ def test_recurrence_row_by_row():
     for k in range(n, 0, -1):
         prev = expect[k + 1]
         expect[k] = prev | {s + u[k - 1] for s in prev if s + u[k - 1] <= cap}
-    for k in range(1, n + 2):
-        got = {s for s in range(cap + 1) if table.contains(k, s)}
+    assert set(table.checkpoints) >= {1, n + 1}
+    for k, row in table.checkpoints.items():
+        got = {s for s in range(cap + 1) if table.kernel.test(row, s)}
         assert got == expect[k]
 
 
@@ -73,7 +74,7 @@ def test_budget_env_override(monkeypatch):
     with pytest.raises(BudgetError):
         dp_run([5, 5, 5], 10)
     monkeypatch.setenv(dp.BUDGET_ENV, "1000000")
-    assert dp_run([5, 5, 5], 10).found
+    assert dp_run([5, 5, 5], 10).x is not None
 
 
 def test_family_window_shapes():
@@ -112,8 +113,9 @@ def test_early_stop_and_full_rows_agree():
     for tau in range(0, sum(u) + 1, 7):
         fast = ReachTable(u, tau, early_stop_bit=tau)
         slow = ReachTable(u, tau)
-        assert (fast.stopped_at is not None) == slow.contains(1, tau)
-        if slow.contains(1, tau):
+        reachable = slow.kernel.test(slow.reach(1), tau)
+        assert (fast.stopped_at is not None) == reachable
+        if reachable:
             assert fast.witness(tau) == slow.witness(tau)
 
 
