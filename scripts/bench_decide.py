@@ -7,9 +7,12 @@ decide-planted workload uses (N = n^2, `decide-slab --c 2`, and N = 4n^2,
 times the fill and the walk of the hit's witness apart, and records the
 checkpoints stored, the megabytes of row storage the table holds after the
 walk, and the bits the walk rebuilds (rows re-derived times the width of
-each).  Each figure is the median over seeds 0..4.
+each).  Next to the fill time it records a count that does not depend on
+the machine: the 64-bit words the numpy fill shifts (null on Python-int
+rows), counted on a second, untimed fill.  Each figure is the median over
+seeds 0..4.
 
-    PYTHONPATH=src python scripts/bench_decide.py --before b15bf71
+    PYTHONPATH=src python scripts/bench_decide.py --before 5263593
 
 measures the tree in src/ as "after" and, with --before REV, the src/ of
 git revision REV (unpacked with `git archive` into a temporary directory)
@@ -39,25 +42,48 @@ SEEDS = range(5)
 
 def walk_bits(table, tau, x) -> int:
     """Bits the witness walk of tau rebuilds: each row between checkpoints
-    over the bits it re-derives.  A tree whose table keeps `_block` rebuilds
-    whole band rows; the slice walk rebuilds each block on [sigma - B, sigma]."""
+    over its slice [sigma - B, sigma]."""
     keys = sorted(table.checkpoints)
     u, sigma, total = table.u, tau, 0
     for k, cp in zip(keys, keys[1:]):
-        if hasattr(table, "_block"):
-            # numpy rows rebuild their band words; int rows rebuild from bit 0
-            floor = 0 if isinstance(table.checkpoints[cp], int) else None
-            total += sum(hi - (lo if floor is None else floor) + 1
-                         for lo, hi in map(table.band, range(k + 1, cp)))
-        else:
-            total += (cp - k - 1) * (sigma - max(0, sigma - sum(u[k - 1: cp - 1])) + 1)
+        total += (cp - k - 1) * (sigma - max(0, sigma - sum(u[k - 1: cp - 1])) + 1)
         sigma -= sum(w for w, b in zip(u[k - 1: cp - 1], x[k - 1: cp - 1]) if b)
     return total
 
 
 def held_mb(table) -> float:
-    rows = list(table.checkpoints.values()) + list(getattr(table.kernel, "_slots", []))
+    """Megabytes of stored rows: Python ints, whole numpy rows, or
+    (first word, words) band slices."""
+    rows = [r[1] if isinstance(r, tuple) else r for r in table.checkpoints.values()]
     return sum(getattr(r, "nbytes", None) or sys.getsizeof(r) for r in rows) / 2**20
+
+
+def shifted_words(build):
+    """Words the numpy fill of build() shifts, or None on Python-int rows.
+
+    It wraps the kernel's word-update helper: _shift_or(row, q, r, lo, hi)
+    updates words lo..hi; a tree without it shifts every band word from
+    max(L >> 6, q) up in apply."""
+    from slabsum import dp
+
+    kern, count = dp._ArrayKernel, 0
+    if hasattr(kern, "_shift_or"):
+        name, words = "_shift_or", lambda row, q, r, lo, hi: hi - lo + 1
+    else:
+        name, words = "apply", lambda row, w, band: (band[1] >> 6) - max(band[0] >> 6, w >> 6) + 1
+    inner = getattr(kern, name)
+
+    def counted(self, *args):
+        nonlocal count
+        count += max(0, words(*args))
+        return inner(self, *args)
+
+    setattr(kern, name, counted)
+    try:
+        table = build()
+    finally:
+        setattr(kern, name, inner)
+    return count if isinstance(table.kernel, kern) else None
 
 
 def measure_case(n: int, big_n: int, seed: int) -> dict:
@@ -68,15 +94,20 @@ def measure_case(n: int, big_n: int, seed: int) -> dict:
     q = quantize(gen_planted(n, 16, seed), big_n=big_n)
     fam = family_window(q.total_u, q.n)
     order = sorted(fam.window, key=lambda tau: (abs(2 * tau - q.total_u), tau))
+
+    def build():
+        return ReachTable(q.u, fam.window[-1], early_stop_bit=order[0], window_lo=fam.window[0])
+
     t0 = time.perf_counter()
-    table = ReachTable(q.u, fam.window[-1], early_stop_bit=order[0], window_lo=fam.window[0])
+    table = build()
     t1 = time.perf_counter()
     tau = order[0] if table.stopped_at is not None else next(
         t for t in order if table.kernel.test(table.reach(1), t))
     x = table.witness(tau)
     t2 = time.perf_counter()
     assert sum(w for w, b in zip(q.u, x) if b) == tau
-    return {"fill_ms": (t1 - t0) * 1e3, "walk_ms": (t2 - t1) * 1e3,
+    return {"fill_ms": (t1 - t0) * 1e3, "fill_words_shifted": shifted_words(build),
+            "walk_ms": (t2 - t1) * 1e3,
             "checkpoints": len(table.checkpoints), "held_mb": held_mb(table),
             "walk_bits": walk_bits(table, tau, x)}
 
@@ -88,7 +119,8 @@ def measure() -> list[dict]:
             runs = [measure_case(n, big_n, seed) for seed in SEEDS]
             row = {"n": n, "scale": scale, "big_n": big_n, "seeds": len(runs)}
             for key in runs[0]:
-                row[key] = round(statistics.median(r[key] for r in runs), 3)
+                values = [r[key] for r in runs]
+                row[key] = None if None in values else round(statistics.median(values), 3)
             rows.append(row)
     return rows
 

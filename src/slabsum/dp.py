@@ -23,9 +23,13 @@ reads lies in the band, so answers are unchanged; on planted instances the
 band is about half of each row.  The budget still counts full rows,
 (n+1)*(hi+1) cells, before any row is allocated.
 
-Two interchangeable row kernels produce bit-identical tables: plain Python
+Two interchangeable row kernels produce the same band bits: plain Python
 ints for narrow rows, and preallocated numpy uint64 arrays for wide ones,
 where avoiding per-op allocation is worth roughly an order of magnitude.
+Most words of a wide row soon lie in one run of all-ones words (the dense
+middle interval of many comparable items' sums; Galil & Margalit, SIAM J.
+Comput. 1991), which the numpy kernel tracks and never shifts again, and
+it stores each checkpoint as the slice of its band words alone.
 """
 
 from __future__ import annotations
@@ -44,6 +48,9 @@ DEFAULT_BUDGET_CELLS = 1 << 34
 
 # rows narrower than this many bits run on Python ints
 ARRAY_KERNEL_MIN_BITS = 1 << 17
+# bands narrower than this many words skip the all-ones run bookkeeping
+RUN_MIN_WORDS = 8192
+_ONES = _np.uint64(2**64 - 1)
 
 
 class BudgetError(RuntimeError):
@@ -101,7 +108,18 @@ class _ArrayKernel:
     """Rows as uint64 arrays; shift/or stream through two reused buffers.
 
     A band (L, H) limits every operation to words L>>6 .. H>>6.  The words
-    above a row's band are never written, so they read as zero."""
+    above a row's band are never written, so they read as zero.
+
+    run = (a, b) are words of the rolling row known to be all ones.  An OR
+    into them changes nothing, and for w = 64q + r word j comes out all ones
+    when its source words j-q-1 and j-q lie in the run, so apply shifts only
+    the fringes of the band below and above the run and writes ones on
+    (b, b+q]; the cap word joins a run once its bits up to the cap are set.
+    Words only gain bits, so a run stays one; bands under RUN_MIN_WORDS do
+    not look for one.
+
+    A stored row is (first, words), a copy of its band words from word
+    first on; words outside the slice read as zero, which a band allows."""
 
     def __init__(self, cap: int):
         self.cap = cap
@@ -111,6 +129,7 @@ class _ArrayKernel:
         self._carry = _np.zeros(self.words, _np.uint64)
 
     def one(self):
+        self.run = (0, -1)  # no run yet: the rolling row starts as {0}
         row = _np.zeros(self.words, _np.uint64)
         row[0] = 1
         return row
@@ -118,45 +137,85 @@ class _ArrayKernel:
     def apply(self, row, w: int, band):
         """row |= row << w on the words of band = (L, H) bits.  Band bits
         read only row's bits in [L - w, H]; words outside the band are left
-        as they were."""
+        as they were, but for ones written below it, which are attainable."""
         first, last = band[0] >> 6, band[1] >> 6
         q, r = divmod(w, 64)
         start = max(first, q)  # the lowest word shifted bits land in
         if start > last:
             return row
-        sh = self._sh[: last + 1 - start]
-        src = row[start - q: last + 1 - q]
+        a, b = self.run
+        # (b, top] reads only run words; with no run, or a short one, top = b
+        top = b + q if a + q + (r > 0) <= b + 1 else b
+        # the high fringe first: it reads the old words of (b, top]
+        self._shift_or(row, q, r, max(start, top + 1), last)
+        if top > b:
+            row[b + 1: min(top, last) + 1] = _ONES
+        if a > start:
+            self._shift_or(row, q, r, start, min(a - 1, last))
+        if last == self.words - 1:
+            row[last] &= self.top_mask
+        if last + 1 - first >= RUN_MIN_WORDS:
+            self._grow_run(row, first, last, max(b, min(top, last)))
+        return row
+
+    def _shift_or(self, row, q: int, r: int, lo: int, hi: int) -> None:
+        """row[lo..hi] |= (row << 64q + r)[lo..hi], all read before any is
+        written; lo >= q."""
+        if lo > hi:
+            return
+        sh = self._sh[: hi + 1 - lo]
+        src = row[lo - q: hi + 1 - q]
         if r == 0:
             _np.copyto(sh, src)
         else:
             _np.left_shift(src, _np.uint64(r), out=sh)
-            lo = max(start, q + 1)  # the lowest word carried bits land in
-            if lo <= last:
-                carry = self._carry[: last + 1 - lo]
-                _np.right_shift(row[lo - q - 1: last - q], _np.uint64(64 - r), out=carry)
-                _np.bitwise_or(sh[lo - start:], carry, out=sh[lo - start:])
-        _np.bitwise_or(row[start: last + 1], sh, out=row[start: last + 1])
-        if last == self.words - 1:
-            row[last] &= self.top_mask
-        return row
+            c = max(lo, q + 1)  # the lowest word carried bits land in
+            if c <= hi:
+                carry = self._carry[: hi + 1 - c]
+                _np.right_shift(row[c - q - 1: hi - q], _np.uint64(64 - r), out=carry)
+                _np.bitwise_or(sh[c - lo:], carry, out=sh[c - lo:])
+        _np.bitwise_or(row[lo: hi + 1], sh, out=row[lo: hi + 1])
 
-    def snapshot(self, row, band):
-        """A fresh copy of row's band words, zero elsewhere."""
+    def _grow_run(self, row, first: int, last: int, b: int) -> None:
+        """Extend the run, whose top is now b, over all-ones words within
+        the band; with no run, start one at the band's middle word."""
+        a = self.run[0]
+        if a > b:
+            a = b = (first + last) // 2
+            if row[a] != _ONES:
+                return
+        if b < last and row[b + 1] == _ONES:
+            b += _ones_prefix(row[b + 1: last + 1])
+        if a > first and row[a - 1] == _ONES:
+            a -= _ones_prefix(row[first: a][::-1])
+        self.run = (a, b)
+
+    @staticmethod
+    def snapshot(row, band):
+        """(first, a copy of row's band words from word first on)."""
         first, last = band[0] >> 6, band[1] >> 6
-        out = _np.zeros(self.words, _np.uint64)
-        out[first: last + 1] = row[first: last + 1]
-        return out
+        return first, row[first: last + 1].copy()
 
     @staticmethod
-    def test(row, s: int) -> bool:
-        return (int(row[s >> 6]) >> (s & 63)) & 1 == 1
+    def test(stored, s: int) -> bool:
+        first, words = stored
+        i = (s >> 6) - first
+        return 0 <= i < len(words) and (int(words[i]) >> (s & 63)) & 1 == 1
 
     @staticmethod
-    def bits(row, lo: int, hi: int) -> int:
-        """Bits lo..hi of row, as an int whose bit 0 is bit lo."""
-        words = row[lo >> 6: (hi >> 6) + 1].astype("<u8", copy=False)
-        value = int.from_bytes(words.tobytes(), "little") >> (lo & 63)
-        return value & ((1 << (hi - lo + 1)) - 1)
+    def bits(stored, lo: int, hi: int) -> int:
+        """Bits lo..hi of a stored row, as an int whose bit 0 is bit lo."""
+        first, words = stored
+        a, b = max(lo >> 6, first), min(hi >> 6, first + len(words) - 1)
+        value = 0 if a > b else int.from_bytes(
+            words[a - first: b - first + 1].astype("<u8", copy=False).tobytes(), "little")
+        return (value << 64 * (a - (lo >> 6)) >> (lo & 63)) & ((1 << (hi - lo + 1)) - 1)
+
+
+def _ones_prefix(words) -> int:
+    """How many leading words of words are all ones."""
+    full = words == _ONES
+    return len(words) if full.all() else int(full.argmin())
 
 
 def _make_kernel(cap: int):
@@ -235,12 +294,13 @@ class ReachTable:
                 if k == next_cp:
                     self.checkpoints[k] = kern.snapshot(row, band(k))
                     next_cp -= self.stride
-                if early_stop_bit is not None and kern.test(row, early_stop_bit):
+                if early_stop_bit is not None and int(row[early_stop_bit >> 6]) >> (
+                        early_stop_bit & 63) & 1:
                     self.stopped_at = k
                     break
         self.rows_done = n - k + 1 if n else 0
-        # the fill is done, so the rolling row itself is the last row
-        self.checkpoints.setdefault(self.stopped_at or 1, row)
+        last = self.stopped_at or 1
+        self.checkpoints.setdefault(last, kern.snapshot(row, band(last)))
         self._cp_keys = sorted(self.checkpoints)
 
     @property

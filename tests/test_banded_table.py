@@ -78,9 +78,11 @@ CASES = _seeded_cases(240) + [(PartitionInstance(SLOT_REUSE_U),
 
 @pytest.fixture(params=["int", "array"])
 def kernel(request, monkeypatch):
-    # most rows here are below 2^17 bits; a zero threshold forces numpy rows
+    # most rows here are below 2^17 bits; zero thresholds force numpy rows
+    # that track their all-ones run at every width
     if request.param == "array":
         monkeypatch.setattr(dp, "ARRAY_KERNEL_MIN_BITS", 0)
+        monkeypatch.setattr(dp, "RUN_MIN_WORDS", 0)
     return request.param
 
 
@@ -111,6 +113,7 @@ def _tables(u, kernel_name, monkeypatch):
     filled to row 1."""
     if kernel_name == "array":
         monkeypatch.setattr(dp, "ARRAY_KERNEL_MIN_BITS", 0)
+        monkeypatch.setattr(dp, "RUN_MIN_WORDS", 0)
     fam = family_window(sum(u), len(u))
     lo, hi = fam.window[0], fam.window[-1]
     return ReachTable(u, hi, window_lo=lo), ReachTable(u, hi), fam
@@ -150,6 +153,7 @@ def test_banded_witnesses_of_every_window_target(kernel_name, monkeypatch):
 
 def test_slot_reuse_regression(monkeypatch):
     monkeypatch.setattr(dp, "ARRAY_KERNEL_MIN_BITS", 0)
+    monkeypatch.setattr(dp, "RUN_MIN_WORDS", 0)
     inst = PartitionInstance(SLOT_REUSE_U)
     q = quantize(inst, big_n=exact_scale(SLOT_REUSE_U))
     assert q.u == SLOT_REUSE_U

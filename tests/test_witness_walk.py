@@ -50,9 +50,11 @@ def slices(table, tau, x):
 
 @pytest.fixture(params=["int", "array"])
 def kernel(request, monkeypatch):
-    # most rows here are below 2^17 bits; a zero threshold forces numpy rows
+    # most rows here are below 2^17 bits; zero thresholds force numpy rows
+    # that track their all-ones run at every width
     if request.param == "array":
         monkeypatch.setattr(dp, "ARRAY_KERNEL_MIN_BITS", 0)
+        monkeypatch.setattr(dp, "RUN_MIN_WORDS", 0)
     return request.param
 
 
