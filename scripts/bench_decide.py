@@ -4,15 +4,15 @@
 For planted 16-bit instances at n in {128, 256, 512}, at the scales the
 decide-planted workload uses (N = n^2, `decide-slab --c 2`, and N = 4n^2,
 `solve-fptas --epsilon 1/(4n)`), it builds the table solve_family builds,
-times the fill and the walk of the hit's witness apart, and records the
-checkpoints stored, the megabytes of row storage the table holds after the
-walk, and the bits the walk rebuilds (rows re-derived times the width of
-each).  Next to the fill time it records a count that does not depend on
-the machine: the 64-bit words the numpy fill shifts (null on Python-int
-rows), counted on a second, untimed fill.  Each figure is the median over
-seeds 0..4.
+times the fill and the walk of the hit's witness apart, each as the median
+of REPEATS runs, and records the checkpoints stored, the megabytes of row
+storage the table holds after the walk, and the bits the walk rebuilds
+(rows re-derived times the width of each).  Next to the fill time it
+records a count that does not depend on the machine: the 64-bit words the
+numpy fill shifts (null on Python-int rows), counted on one more, untimed
+fill.  Each figure is the median over seeds 0..4.
 
-    PYTHONPATH=src python scripts/bench_decide.py --before 5263593
+    PYTHONPATH=src python scripts/bench_decide.py --before 6220331
 
 measures the tree in src/ as "after" and, with --before REV, the src/ of
 git revision REV (unpacked with `git archive` into a temporary directory)
@@ -38,6 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (128, 256, 512)
 SEEDS = range(5)
+REPEATS = 5
 
 
 def walk_bits(table, tau, x) -> int:
@@ -98,16 +99,20 @@ def measure_case(n: int, big_n: int, seed: int) -> dict:
     def build():
         return ReachTable(q.u, fam.window[-1], early_stop_bit=order[0], window_lo=fam.window[0])
 
-    t0 = time.perf_counter()
-    table = build()
-    t1 = time.perf_counter()
-    tau = order[0] if table.stopped_at is not None else next(
-        t for t in order if table.kernel.test(table.reach(1), t))
-    x = table.witness(tau)
-    t2 = time.perf_counter()
+    fill_ms, walk_ms = [], []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        table = build()
+        t1 = time.perf_counter()
+        tau = order[0] if table.stopped_at is not None else next(
+            t for t in order if table.kernel.test(table.reach(1), t))
+        x = table.witness(tau)
+        t2 = time.perf_counter()
+        fill_ms.append((t1 - t0) * 1e3)
+        walk_ms.append((t2 - t1) * 1e3)
     assert sum(w for w, b in zip(q.u, x) if b) == tau
-    return {"fill_ms": (t1 - t0) * 1e3, "fill_words_shifted": shifted_words(build),
-            "walk_ms": (t2 - t1) * 1e3,
+    return {"fill_ms": statistics.median(fill_ms), "fill_words_shifted": shifted_words(build),
+            "walk_ms": statistics.median(walk_ms),
             "checkpoints": len(table.checkpoints), "held_mb": held_mb(table),
             "walk_bits": walk_bits(table, tau, x)}
 
@@ -154,7 +159,7 @@ def main() -> None:
                       + (f" --before {args.before}" if args.before else ""),
            "machine": {"python": platform.python_version(), "cpu": cpu_model(),
                        "nproc": os.cpu_count()},
-           "median_of_seeds": list(SEEDS)}
+           "median_of_seeds": list(SEEDS), "timing_repeats": REPEATS}
     if args.before:
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.before, "src"],
                                  check=True, capture_output=True).stdout

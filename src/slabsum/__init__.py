@@ -12,7 +12,7 @@ from .dp import BudgetError, FamilyScan, TargetFamily, dp_decide, dp_run, family
 from .instance import (ParseError, PartitionInstance, SspInstance, SsspInstance,
                        gen_planted, gen_random, gen_sssp_random, read_instance,
                        write_instance)
-from .numerics import Surd, cmp_sqrt, floor_div_sqrt, sqrt_diff_within
+from .numerics import Surd, floor_div_sqrt, sqrt_diff_within
 from .oracle import (OracleReport, SlabPopulation, enumerate_partition, eval_L0,
                      min_vertex_L0, slab_population)
 from .quantize import (QuantizationUnderflow, QuantizedNormal, ShiftBound,

@@ -12,13 +12,14 @@ no row other than a checkpoint is ever stored.
 Bits at or below tau of a row do not depend on the cap once cap >= tau, so
 solve_family answers the whole shifted-target window from one table filled
 to the window top (the bitset-row formulation of subset sum; Pisinger,
-J. Algorithms 1999; Bringmann, SODA 2017).  dp_run answers one target.
+J. Algorithms 1999; Bringmann, SODA 2017).  dp_run answers one target, the
+window [tau, tau], and attainable_witnesses every target, [0, sum(u)].
 
-solve_family's table is banded by the window [lo, hi]: row k keeps only
+Every table is banded by its window [lo, hi]: row k keeps only
 band(k) = [max(0, lo - P(k-1)), min(hi, Suf(k))], P(k-1) the sum of items
 1..k-1 and Suf(k) of items k..n, since a sum outside it can no longer end
 in the window (prefix/suffix bounds, as in Pisinger's pruning).  Band bits
-depend only on the previous row's band bits, and every bit the decision
+depend only on the previous row's band bits, and every bit a decision
 reads lies in the band, so answers are unchanged; on planted instances the
 band is about half of each row.  The budget still counts full rows,
 (n+1)*(hi+1) cells, before any row is allocated.
@@ -241,8 +242,8 @@ class ReachTable:
     the last row filled; reach(k) gives a stored row, and witnesses()
     re-derives the rows between checkpoints on the bits it reads.
 
-    Given window_lo, the table is banded: only sums that can still end in
-    [window_lo, cap] are kept.  Row k then needs only its bits in
+    The table is banded by its window [window_lo, cap]: only sums that can
+    still end in the window are kept.  Row k then needs only its bits in
     band(k) = [max(0, window_lo - P(k-1)), min(cap, Suf(k))], where P(k-1)
     sums items 1..k-1 and Suf(k) items k..n.  Band bits of row k depend only
     on band bits of row k+1, since the low end drops by at most u_k from one
@@ -250,11 +251,12 @@ class ReachTable:
     reaches it, or it lies above the cap), and bits below the band may hold
     stale values.  Every bit a window decision reads is in the band: the
     window bits of row 1, and each sigma that witnesses() tests in row k+1,
-    which is at least tau - P(k-1).  The budget still counts (n+1)*(cap+1).
+    which is at least tau - P(k-1).  window_lo = 0 keeps every attainable
+    sum up to the cap.  The budget still counts (n+1)*(cap+1).
     """
 
     def __init__(self, u: tuple[int, ...], cap: int, *, budget_cells: int | None = None,
-                 early_stop_bit: int | None = None, window_lo: int | None = None):
+                 early_stop_bit: int | None = None, window_lo: int = 0):
         n = len(u)
         check_budget((n + 1) * (cap + 1), budget_cells)
         self.u = u
@@ -263,10 +265,9 @@ class ReachTable:
         self.kernel = _make_kernel(cap)
         self.stride = max(1, math.isqrt(n))
         self.stopped_at: int | None = None
-        if window_lo is not None:
-            # suf[k] = Suf(k) for k = 1..n+1; suf[0] = Suf(1) stands in for a row 0
-            suffixes = list(accumulate(reversed(u), initial=0))[::-1]
-            self._suf = [suffixes[0], *suffixes]
+        # suf[k] = Suf(k) for k = 1..n+1; suf[0] = Suf(1) stands in for a row 0
+        suffixes = list(accumulate(reversed(u), initial=0))[::-1]
+        self._suf = [suffixes[0], *suffixes]
 
         kern = self.kernel
         band = self.band
@@ -305,25 +306,19 @@ class ReachTable:
 
     @property
     def cells(self) -> int:
-        """Summed band width of the rows filled; rows_done*(cap+1) when the
-        table is not banded."""
-        if self.window_lo is None:
-            return self.rows_done * (self.cap + 1)
+        """Summed band width of the rows filled."""
         n = len(self.u)
         return sum(max(0, hi - lo + 1)
                    for lo, hi in map(self.band, range(n - self.rows_done + 1, n + 1)))
 
     def band(self, k: int) -> tuple[int, int]:
-        """The bits [L, H] of reach(k) that this table keeps; (0, cap) when
-        it is not banded."""
-        if self.window_lo is None:
-            return 0, self.cap
+        """The bits [L, H] of reach(k) that this table keeps."""
         suf = self._suf[k]
         return max(0, self.window_lo - self._suf[1] + suf), min(self.cap, suf)
 
     def reach(self, k: int):
         """Stored row k: n+1, a checkpoint, or the last row filled (stopped_at,
-        else 1).  On a banded table only the bits of band(k) are valid."""
+        else 1).  Only the bits of band(k) are valid."""
         return self.checkpoints[k]
 
     def witness(self, tau: int) -> tuple[int, ...]:
@@ -344,8 +339,8 @@ class ReachTable:
         drops by the items taken, so with B = u_k + ... + u_{cp-1}, every bit
         those rows are derived from or read at lies in
         [min sigma - B, max sigma] over taus, and the block is rebuilt on
-        that slice alone.  Bits below a band stay below it, so on a banded
-        table they cannot reach a bit the walk reads."""
+        that slice alone.  Bits below a band stay below it, so they cannot
+        reach a bit the walk reads."""
         u = self.u
         xs = [[0] * len(u) for _ in taus]
         sigmas = list(taus)
@@ -372,7 +367,8 @@ def dp_run(u, tau: int, *, budget_cells: int | None = None) -> DpRun:
     """Decide whether a subset of u sums to tau, and if so give the
     lexicographically smallest solution vector.
 
-    The fill stops at the first row whose sums reach tau.
+    The table is banded by the window [tau, tau], and its fill stops at the
+    first row whose sums reach tau.  The budget counts (n+1)*(tau+1) cells.
     """
     u = tuple(u)
     n = len(u)
@@ -381,8 +377,9 @@ def dp_run(u, tau: int, *, budget_cells: int | None = None) -> DpRun:
     if tau == 0:
         return DpRun((0,) * n, 0)
 
-    table = ReachTable(u, tau, budget_cells=budget_cells, early_stop_bit=tau)
-    if table.stopped_at is None and not table.kernel.test(table.reach(1), tau):
+    table = ReachTable(u, tau, budget_cells=budget_cells, early_stop_bit=tau,
+                       window_lo=tau)
+    if table.stopped_at is None:  # no row, row 1 included, reached tau
         return DpRun(None, table.cells)
     return DpRun(table.witness(tau), table.cells)
 
@@ -397,7 +394,7 @@ def attainable_witnesses(u, *, budget_cells: int | None = None
     """(tau, witness) for every tau in [0, sum(u)] that some subset attains,
     tau ascending; each witness is the one dp_decide(u, tau) returns.
 
-    One ReachTable capped at sum(u) answers every tau, since the bits at or
+    One ReachTable over the window [0, sum(u)] answers every tau, since the bits at or
     below tau do not depend on the cap.  The budget is checked once, for
     (n+1)*(sum(u)+1) cells, before any row is allocated.
     """

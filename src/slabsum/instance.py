@@ -140,9 +140,6 @@ class SsspInstance:
     def n(self) -> int:
         return len(self.weight_rows[0])
 
-    def row(self, i: int) -> PartitionInstance:
-        return PartitionInstance(self.weight_rows[i])
-
 
 Instance = SspInstance | PartitionInstance | SsspInstance
 

@@ -31,18 +31,6 @@ def floor_div_sqrt(a: int, b: int) -> int:
     return r
 
 
-def cmp_sqrt(q: RationalLike, m: RationalLike) -> int:
-    """Exact sign of q - sqrt(m) for rational q and rational m >= 0."""
-    q = Fraction(q)
-    m = Fraction(m)
-    if m < 0:
-        raise ValueError("radicand must be nonnegative")
-    if q < 0:
-        return -1
-    lhs = q * q
-    return (lhs > m) - (lhs < m)
-
-
 @dataclass(frozen=True)
 class Surd:
     """Exact value ``rat + coef * sqrt(rad)`` with integer radicand rad >= 0.

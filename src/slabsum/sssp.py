@@ -244,16 +244,14 @@ class SsspCertificate:
 
 @dataclass(frozen=True)
 class Geometry:
-    """Shells, merge tree and (M, B) guess grids of one instance and eps_b."""
+    """Merge tree and (M, B) guess grids of one instance and eps_b."""
 
-    shells: tuple[Shell, ...]
     tree: MergeTree
     grids: tuple[LevelGrid, ...]
     axis: tuple[float, ...]       # cube center minus merged center; all positive
     axis_norm: float
     root_radius: float
     b_lo: float
-    b_up: float
     eps_b: float
     b_count: int
     grid_size: int
@@ -268,8 +266,7 @@ def geometry(inst: SsspInstance, eps_b: float | None) -> Geometry:
             f"need rho >= n/delta = {Fraction(inst.n) / inst.delta} to keep the "
             "curvature term within delta/8"
         )
-    shells = build_shells(inst)
-    tree = merge_tree(shells)
+    tree = merge_tree(build_shells(inst))
     grids = correction_grids(inst.p, n, inst.rho, inst.delta)
     axis = tuple(0.5 - ck for ck in tree.root.center)
     axis_norm = math.sqrt(sum(a * a for a in axis))
@@ -290,8 +287,8 @@ def geometry(inst: SsspInstance, eps_b: float | None) -> Geometry:
     grid_size = b_count
     for g in grids:
         grid_size *= g.count
-    return Geometry(shells, tree, grids, axis, axis_norm, root_radius,
-                    b_lo, b_up, eps_b, b_count, grid_size)
+    return Geometry(tree, grids, axis, axis_norm, root_radius,
+                    b_lo, eps_b, b_count, grid_size)
 
 
 def grid_cardinality(inst: SsspInstance, *, eps_b: float | None = None) -> int:

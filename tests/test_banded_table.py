@@ -2,9 +2,10 @@
 
 solve_family gives its table the window low, so each row keeps only
 band(k) = [max(0, lo - P(k-1)), min(hi, Suf(k))], the sums that can still
-end in the window.  Every answer read from a banded table must equal the
-one an unbanded table (the same rows, every bit up to the cap) and the
-per-target scan give, under both row kernels.
+end in the window.  A table over [0, hi] keeps band [0, min(hi, Suf(k))],
+which holds every attainable sum up to the cap: the unbanded rows.  Every
+answer read from a banded table must equal the one the [0, hi] table and
+the per-target scan give, under both row kernels.
 """
 
 import math
@@ -24,14 +25,16 @@ from test_solve_family import per_target_family
 SLOT_REUSE_U = (52, 96, 152, 62, 171, 257, 217, 260, 98)
 
 
-class Unbanded(ReachTable):
-    def __init__(self, *args, window_lo=None, **kwargs):
-        super().__init__(*args, **kwargs)
+class FromZero(ReachTable):
+    """The table over [0, cap], whatever window low it is given."""
+
+    def __init__(self, *args, window_lo=0, **kwargs):
+        super().__init__(*args, window_lo=0, **kwargs)
 
 
-def unbanded_family(q):
+def from_zero_family(q):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dp, "ReachTable", Unbanded)
+        patch.setattr(dp, "ReachTable", FromZero)
         return solve_family(q)
 
 
@@ -91,14 +94,14 @@ def test_banded_family_matches_unbanded_and_per_target(kernel, monkeypatch):
     for inst, scale in CASES:
         q = quantize(inst, **scale)
         got = solve_family(q)
-        for want in (unbanded_family(q), per_target_family(q)):
+        for want in (from_zero_family(q), per_target_family(q)):
             assert (got.hit, got.targets_scanned) == (want.hit, want.targets_scanned), \
                 (inst.weights, scale)
         hits += got.hit is not None
         full_fills += got.targets_scanned > 1
         banded = dump_verdict(decide(inst, **scale))
         with monkeypatch.context() as patch:
-            patch.setattr(dp, "ReachTable", Unbanded)
+            patch.setattr(dp, "ReachTable", FromZero)
             assert dump_verdict(decide(inst, **scale)) == banded
         with monkeypatch.context() as patch:
             patch.setattr(slab, "solve_family", per_target_family)
@@ -109,8 +112,8 @@ def test_banded_family_matches_unbanded_and_per_target(kernel, monkeypatch):
 
 
 def _tables(u, kernel_name, monkeypatch):
-    """A banded and an unbanded table over u for its shifted window, both
-    filled to row 1."""
+    """The table banded by u's shifted window [lo, hi] and the one over
+    [0, hi], both filled to row 1."""
     if kernel_name == "array":
         monkeypatch.setattr(dp, "ARRAY_KERNEL_MIN_BITS", 0)
         monkeypatch.setattr(dp, "RUN_MIN_WORDS", 0)
@@ -159,7 +162,7 @@ def test_slot_reuse_regression(monkeypatch):
     assert q.u == SLOT_REUSE_U
     assert family_window(q.total_u, q.n).window[::17] == (674, 691)
     got = solve_family(q)
-    for want in (unbanded_family(q), per_target_family(q)):
+    for want in (from_zero_family(q), per_target_family(q)):
         assert (got.hit, got.targets_scanned) == (want.hit, want.targets_scanned)
 
 
@@ -176,20 +179,36 @@ def test_cells_sum_the_band_widths():
         prefix += u[k - 1]
     assert table.rows_done == len(u)
     assert table.cells == want
-    assert ReachTable(u, hi).cells == len(u) * (hi + 1)
+    assert ReachTable(u, hi).cells == sum(min(hi, sum(u[k - 1:])) + 1
+                                          for k in range(1, len(u) + 1))
 
 
-def test_planted_decision_fills_at_most_55_percent():
-    built = []
+@pytest.fixture
+def built(monkeypatch):
+    """The tables dp builds while the test runs."""
+    tables = []
 
     class Recorded(ReachTable):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            built.append(self)
+            tables.append(self)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dp, "ReachTable", Recorded)
-        verdict = decide(gen_planted(256, 16, seed=5), c=2)
+    monkeypatch.setattr(dp, "ReachTable", Recorded)
+    return tables
+
+
+def test_planted_decision_fills_at_most_55_percent(built):
+    verdict = decide(gen_planted(256, 16, seed=5), c=2)
     assert isinstance(verdict, slab.VertexFound)
     (table,) = built
     assert table.cells <= 0.55 * table.rows_done * (table.cap + 1)
+
+
+def test_planted_dp_decide_fills_at_most_60_percent(built):
+    # dp_decide bands its table by [tau, tau]; the full rows would fill 100%
+    u = gen_planted(64, 16, 0).weights
+    tau = sum(u) // 2
+    x = dp.dp_decide(u, tau)
+    assert sum(w for w, b in zip(u, x) if b) == tau
+    (table,) = built
+    assert table.cells <= 0.6 * table.rows_done * (tau + 1)

@@ -13,6 +13,16 @@ from slabsum.oracle import all_subset_sums
 from slabsum.quantize import quantize
 
 
+@pytest.fixture(params=["int", "array"])
+def kernel(request, monkeypatch):
+    # these rows are far below 2^17 bits; zero thresholds force numpy rows
+    # that track their all-ones run at every width
+    if request.param == "array":
+        monkeypatch.setattr(dp, "ARRAY_KERNEL_MIN_BITS", 0)
+        monkeypatch.setattr(dp, "RUN_MIN_WORDS", 0)
+    return request.param
+
+
 def test_hand_examples():
     assert dp_decide([1, 1, 2], 2) == (0, 0, 1)
     assert dp_decide([3, 5], 4) is None
@@ -36,7 +46,7 @@ def test_recurrence_row_by_row():
         assert got == expect[k]
 
 
-def test_agrees_with_enumeration_on_all_targets():
+def test_agrees_with_enumeration_on_all_targets(kernel):
     rng = random.Random(0)
     u = [rng.randrange(1, 257) for _ in range(16)]
     sums = all_subset_sums(u)
@@ -107,16 +117,18 @@ def test_solve_family_symmetric_half_target():
     assert sum(x) == 2
 
 
-def test_early_stop_and_full_rows_agree():
+def test_early_stop_and_full_rows_agree(kernel):
     rng = random.Random(5)
     u = tuple(rng.randrange(1, 64) for _ in range(12))
     for tau in range(0, sum(u) + 1, 7):
-        fast = ReachTable(u, tau, early_stop_bit=tau)
         slow = ReachTable(u, tau)
         reachable = slow.kernel.test(slow.reach(1), tau)
-        assert (fast.stopped_at is not None) == reachable
-        if reachable:
-            assert fast.witness(tau) == slow.witness(tau)
+        # window_lo = tau is the table dp_run builds
+        for lo in (0, tau):
+            fast = ReachTable(u, tau, early_stop_bit=tau, window_lo=lo)
+            assert (fast.stopped_at is not None) == reachable
+            if reachable:
+                assert fast.witness(tau) == slow.witness(tau)
 
 
 def test_decision_scan_budget_error(monkeypatch):
@@ -128,7 +140,7 @@ def test_decision_scan_budget_error(monkeypatch):
     assert err.value.cells == (q.n + 1) * (family_window(q.total_u, q.n).window[-1] + 1)
 
 
-def test_word_boundary_widths():
+def test_word_boundary_widths(kernel):
     # targets straddling 64-bit word edges exercise the carry logic
     u = [63, 64, 65, 1]
     sums = all_subset_sums(u)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slabsum.numerics import Surd, cmp_sqrt, floor_div_sqrt, sqrt_diff_within
+from slabsum.numerics import Surd, floor_div_sqrt, sqrt_diff_within
 
 
 def test_floor_div_sqrt_examples():
@@ -26,14 +26,6 @@ def test_floor_div_sqrt_postcondition(a, b):
     r = floor_div_sqrt(a, b)
     assert r * r * b <= a * a
     assert (r + 1) * (r + 1) * b > a * a
-
-
-def test_cmp_sqrt_examples():
-    # sqrt(2) < 3/2 because 2 * 4 < 9
-    assert cmp_sqrt(Fraction(3, 2), 2) > 0
-    assert cmp_sqrt(5, 25) == 0
-    assert cmp_sqrt(Fraction(7, 5), 2) < 0
-    assert cmp_sqrt(-1, 2) < 0
 
 
 def test_surd_collapses_perfect_squares():

@@ -45,17 +45,18 @@ def items(rng, kind):
 
 
 def table_cases(rng, u):
-    """(cap, window_lo, stop) for unbanded and banded tables, full fills and
-    early stops inside the window.  Banded windows are at most 2n+1 wide,
-    like a decision's, and some are clamped at 0 or end at the cap word."""
+    """(cap, window_lo, stop) for tables over [0, cap] and over narrower
+    windows, full fills and early stops inside the window.  Narrower windows
+    are at most 2n+1 wide, like a decision's, and some are clamped at 0 or
+    end at the cap word."""
     total, width = sum(u), 2 * len(u)
     hi = rng.randint(0, rng.choice((total, width)))
     lo = max(0, hi - rng.randint(0, width))
-    yield total, None, None
+    yield total, 0, None
     yield hi, lo, None
     # the fill tests its stop bit after each item, the reference before: 0 is left out
     yield hi, lo, rng.randint(lo, hi) or None
-    yield hi, None, hi or None
+    yield hi, 0, hi or None
     yield total, max(0, total - width), total
 
 
@@ -94,12 +95,12 @@ def test_stored_rows_stops_and_witnesses_match_the_recurrence(run_items):
                 low = table.band(k)[0]
                 assert table.kernel.bits(row, low, top) == ref[k] >> low, (case, k)
             last = table.stopped_at or 1
-            window = range(max(0, cap - 2 * len(u)) if lo is None else lo, cap + 1)
+            window = range(max(lo, cap - 2 * len(u)), cap + 1)
             taus = [tau for tau in window if ref[last] >> tau & 1]
             assert table.witnesses(taus) == reference_witnesses(u, taus, stop_at=stop), case
             seen["tables"] += 1
             seen["stopped"] += table.stopped_at is not None
-            seen["banded"] += lo is not None
+            seen["banded"] += lo > 0
             seen["clamped"] += lo == 0
     assert seen["tables"] == 10_000 and min(seen.values()) > 1000, seen
     assert run_items["run"] > 0.25 * run_items["items"], run_items

@@ -4,8 +4,8 @@ ReachTable stores checkpoint rows only, and witnesses() re-derives each
 block between checkpoints on the slice of bits the walk can read there.
 The reference below keeps every suffix row whole, with no checkpoint and no
 band, and walks them.  Both must give the same witness for every target, on
-banded and unbanded tables, early-stopped and full fills, under both row
-kernels.
+tables over a decision's window, over [tau, tau] and over [0, cap],
+early-stopped and full fills, under both row kernels.
 """
 
 import random
@@ -82,9 +82,9 @@ def test_walk_matches_reference_on_seeded_instances(kernel):
             assert table.witnesses(taus) == want, u
             assert [table.witness(tau) for tau in taus] == want, u
             assert ReachTable(u, hi).witnesses(taus) == want, u
-        # unbanded and early-stopped, as dp_run builds it
+        # banded by [first, first] and early-stopped, as dp_run builds it
         if sum(u) >= first:
-            single = ReachTable(u, first, early_stop_bit=first)
+            single = ReachTable(u, first, early_stop_bit=first, window_lo=first)
             if single.stopped_at is not None:
                 want = reference_witnesses(u, [first], stop_at=first)
                 assert [single.witness(first)] == want, (u, first)
@@ -110,7 +110,7 @@ def test_every_target_of_word_edge_items(kernel):
 
 def test_slot_reuse_items_every_target(kernel):
     fam = family_window(sum(SLOT_REUSE_U), len(SLOT_REUSE_U))
-    for lo in (None, fam.window[0]):
+    for lo in (0, fam.window[0]):
         table = ReachTable(SLOT_REUSE_U, fam.window[-1], window_lo=lo)
         row = table.reach(1)
         taus = [tau for tau in fam.window if table.kernel.test(row, tau)]
