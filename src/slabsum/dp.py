@@ -13,7 +13,8 @@ Bits at or below tau of a row do not depend on the cap once cap >= tau, so
 solve_family answers the whole shifted-target window from one table filled
 to the window top (the bitset-row formulation of subset sum; Pisinger,
 J. Algorithms 1999; Bringmann, SODA 2017).  dp_run answers one target, the
-window [tau, tau], and attainable_witnesses every target, [0, sum(u)].
+window [tau, tau], and attainable_witnesses every target of the window its
+caller gives.
 
 Every table is banded by its window [lo, hi]: row k keeps only
 band(k) = [max(0, lo - P(k-1)), min(hi, Suf(k))], P(k-1) the sum of items
@@ -94,6 +95,8 @@ class _IntKernel:
     @staticmethod
     def snapshot(row: int, band) -> int:
         return row
+
+    keep = snapshot
 
     @staticmethod
     def bits(row: int, lo: int, hi: int) -> int:
@@ -192,10 +195,17 @@ class _ArrayKernel:
         self.run = (a, b)
 
     @staticmethod
-    def snapshot(row, band):
-        """(first, a copy of row's band words from word first on)."""
+    def keep(row, band):
+        """(first, a view of row's band words from word first on); the
+        caller must not write row again."""
         first, last = band[0] >> 6, band[1] >> 6
-        return first, row[first: last + 1].copy()
+        return first, row[first: last + 1]
+
+    @classmethod
+    def snapshot(cls, row, band):
+        """(first, a copy of row's band words from word first on)."""
+        first, words = cls.keep(row, band)
+        return first, words.copy()
 
     @staticmethod
     def test(stored, s: int) -> bool:
@@ -301,7 +311,8 @@ class ReachTable:
                     break
         self.rows_done = n - k + 1 if n else 0
         last = self.stopped_at or 1
-        self.checkpoints.setdefault(last, kern.snapshot(row, band(last)))
+        # the rolling row is not written again, so its band words are stored as they are
+        self.checkpoints.setdefault(last, kern.keep(row, band(last)))
         self._cp_keys = sorted(self.checkpoints)
 
     @property
@@ -389,19 +400,20 @@ def dp_decide(u, tau: int, *, budget_cells: int | None = None) -> tuple[int, ...
     return dp_run(u, tau, budget_cells=budget_cells).x
 
 
-def attainable_witnesses(u, *, budget_cells: int | None = None
+def attainable_witnesses(u, lo: int, hi: int, *, budget_cells: int | None = None
                          ) -> list[tuple[int, tuple[int, ...]]]:
-    """(tau, witness) for every tau in [0, sum(u)] that some subset attains,
-    tau ascending; each witness is the one dp_decide(u, tau) returns.
+    """(tau, witness) for every tau in the window [lo, hi] that some subset
+    attains, tau ascending; each witness is the one dp_decide(u, tau)
+    returns.
 
-    One ReachTable over the window [0, sum(u)] answers every tau, since the bits at or
-    below tau do not depend on the cap.  The budget is checked once, for
-    (n+1)*(sum(u)+1) cells, before any row is allocated.
+    One ReachTable banded by the window answers every tau in it, since the
+    bits at or below tau do not depend on the cap.  The budget is checked
+    once, for (n+1)*(hi+1) cells, before any row is allocated.
     """
     u = tuple(u)
-    table = ReachTable(u, sum(u), budget_cells=budget_cells)
+    table = ReachTable(u, hi, budget_cells=budget_cells, window_lo=lo)
     row = table.reach(1)
-    taus = [tau for tau in range(table.cap + 1) if table.kernel.test(row, tau)]
+    taus = [tau for tau in range(lo, hi + 1) if table.kernel.test(row, tau)]
     return list(zip(taus, table.witnesses(taus)))
 
 

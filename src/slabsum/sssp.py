@@ -13,7 +13,10 @@ depends on the target alone, and the exact acceptance check on the vertex
 alone, so one reachability table lists every candidate vertex; only those
 passing the exact check look up the few grid points they can satisfy.  The
 lexicographically first (leaf, target) pair that a walk over the whole grid
-would accept is returned, without the walk.
+would accept is returned, without the walk.  A Cauchy-Schwarz bound,
+computed in integers, first confines every target whose vertex can pass the
+exact check to a window around half the axis total, and the table covers
+only that window.
 
 Key identity used throughout: every hypercube vertex is exactly sqrt(n)/2
 from the cube center, so for a shell anchored at C - rho*S/|S| with squared
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .dp import BudgetError, attainable_witnesses
+from .dp import BudgetError, attainable_witnesses, check_budget
 from .dp import dp_decide  # noqa: F401  (perfbench traces witness calls under this name)
 from .instance import SsspInstance, fraction_json
 from .quantize import QuantizationUnderflow
@@ -174,6 +177,14 @@ class LevelGrid:
     def value(self, i: int) -> Fraction:
         return -self.mbar + i * self.step
 
+    def int_terms(self) -> tuple[int, int, int]:
+        """(sn, mn, dd) with value(i) == (i*sn - mn) / dd over the common
+        denominator dd.  The int true division rounds that rational once,
+        as Fraction.__float__ does, so it equals float(value(i)) exactly."""
+        dd = math.lcm(self.mbar.denominator, self.step.denominator)
+        return (self.step.numerator * (dd // self.step.denominator),
+                self.mbar.numerator * (dd // self.mbar.denominator), dd)
+
 
 def correction_grids(p: int, n: int, rho: Fraction, delta: Fraction) -> tuple[LevelGrid, ...]:
     """One grid per merge step q = 0..log2(p)-1.
@@ -296,6 +307,42 @@ def grid_cardinality(inst: SsspInstance, *, eps_b: float | None = None) -> int:
     return geometry(inst, eps_b).grid_size
 
 
+# fixed-point scale of the integer multipliers in l0_window
+_WINDOW_D = 1 << 20
+
+
+def l0_window(inst: SsspInstance, geo: Geometry, scale: int,
+              w: tuple[int, ...]) -> tuple[int, int] | None:
+    """Targets [lo, hi] that w.x can take at a vertex x with exact
+    L0 <= 5*delta; None when no target can.
+
+    Put y = 2x - 1 and d_i = S_i.y, so that exact_l0 is
+    rho^2 * sum_i d_i^2/|S_i|^2.  For D = 2^20, any integers a_i and
+    e = D*w - sum_i a_i S_i, D*(2*w.x - sum(w)) = D*w.y = sum_i a_i d_i + e.y,
+    and by Cauchy-Schwarz |sum_i a_i d_i| <= sqrt(A * 5*delta/rho^2),
+    A = sum_i a_i^2 |S_i|^2.  So 2*w.x lies within
+    R = ceil((ceil(sqrt(A * 5*delta/rho^2)) + |e|_1) / D) of sum(w).  R is
+    computed in integers and is sound for every choice of a_i; floats pick
+    them near D*scale*rho / (p*|axis|*|S_i|), which makes e small because
+    w ~ scale*axis/|axis| and axis = (rho/p) sum_i S_i/|S_i|.
+    """
+    d, p = _WINDOW_D, inst.p
+    big_a = 0
+    ws = [d * wk for wk in w]
+    for row in inst.weight_rows:
+        m = sum(sk * sk for sk in row)
+        a = round(d * scale * float(inst.rho) / (p * geo.axis_norm * math.sqrt(m)))
+        big_a += a * a * m
+        ws = [v - a * sk for v, sk in zip(ws, row)]
+    e = sum(map(abs, ws))
+    bound = big_a * 5 * inst.delta / (inst.rho * inst.rho)
+    root = math.isqrt(math.ceil(bound) - 1) + 1 if bound > 0 else 0
+    r = -(-(root + e) // d)
+    total_w = sum(w)
+    lo, hi = max(0, (total_w - r + 1) // 2), min(total_w, (total_w + r) // 2)
+    return (lo, hi) if lo <= hi else None
+
+
 def _leaf_window(geo: Geometry, scale: int, total_w: int, y_lo: float, y_hi: float,
                  b_val: float) -> tuple[int, int] | None:
     """Integer target window [t_lo, t_hi] of the leaf whose single-shell band
@@ -349,12 +396,16 @@ def solve(inst: SsspInstance, *, eps_b: float | None = None,
     The grid is never walked.  The vertex depends on tau alone and the
     exact check on the vertex alone, so one reachability table yields every
     attainable tau's vertex, and those failing l0 <= 5*delta are dropped
-    before any grid point is looked at.  The B and cross-term predicates
+    before any grid point is looked at.  Only the taus of l0_window can
+    pass that check, so the table is banded by that window and the others
+    are never filled, walked or checked.  The B and cross-term predicates
     each accept only guesses within one grid step of a value computed from
     the vertex, so each survivor lists the few (M, B) grid points it can
     satisfy and keeps the first whose leaf window holds its tau.  The
     smallest such key over all survivors is exactly the leaf walk's first
-    hit.  The leaf budget still bounds the grid size, walked or not.
+    hit.  The leaf budget still bounds the grid size, walked or not, and
+    the cell budget still counts (n+1)*(sum(w)+1) cells for the whole
+    axis, checked before any row is allocated.
 
     A caller that needs the grid size whatever the outcome passes
     geo = geometry(inst, eps_b) so it is built once; eps_b is then unused.
@@ -374,10 +425,14 @@ def solve(inst: SsspInstance, *, eps_b: float | None = None,
     if zeros:
         raise QuantizationUnderflow(zeros, scale)
     total_w = sum(w)
+    check_budget((n + 1) * (total_w + 1), budget_cells)
+    window = l0_window(inst, geo, scale, w)
+    if window is None:
+        return None
 
     five_delta = 5 * inst.delta
     candidates = []
-    for tau, x in attainable_witnesses(w, budget_cells=budget_cells):
+    for tau, x in attainable_witnesses(w, *window, budget_cells=budget_cells):
         l0 = exact_l0(inst, x)
         if l0 <= five_delta:
             candidates.append((tau, x, l0))
@@ -385,17 +440,21 @@ def solve(inst: SsspInstance, *, eps_b: float | None = None,
         return None
 
     slack = 3 * float(inst.delta)
-    steps_f = [float(g.step) for g in geo.grids]
-    pow4 = [4 ** q for q in range(depth)]
+    # stage 2 reads guess i of a grid as (i*sn - mn) / dd, float(g.value(i)) exactly
+    levels = [(g.count, float(g.mbar), float(g.step), *g.int_terms()) for g in geo.grids]
+    # a leaf's sum_q 4^q * M_q as sum_q (c_q * i_q - k_q) / sig_den, which
+    # one int true division turns into the float of that exact rational
+    sig_den = math.lcm(*(dd for *_, dd in levels))
+    sig_terms = [(4 ** q * sn * (sig_den // dd), 4 ** q * mn * (sig_den // dd))
+                 for q, (*_, sn, mn, dd) in enumerate(levels)]
     four_l = 4 ** depth
     root_center = geo.tree.root.center
 
     def first_leaf(tau, b_idx, m_idx_lists):
         """Smallest (m_idx, bi, band) among the given guesses whose leaf
-        window holds tau, with the leaf's M values and B; None if none does."""
+        window holds tau, with the leaf's B; None if none does."""
         for m_idx in product(*m_idx_lists):
-            m_vals = tuple(g.value(i) for g, i in zip(geo.grids, m_idx))
-            sig = float(sum(pq * mv for pq, mv in zip(pow4, m_vals)))
+            sig = sum(c * i - k for (c, k), i in zip(sig_terms, m_idx)) / sig_den
             hi_sq = (sig + slack) / four_l
             if hi_sq < 0:
                 continue
@@ -408,10 +467,10 @@ def solve(inst: SsspInstance, *, eps_b: float | None = None,
                 for band_i, (band_lo, band_hi) in enumerate(bands):
                     window = _leaf_window(geo, scale, total_w, band_lo, band_hi, b_val)
                     if window is not None and window[0] <= tau <= window[1]:
-                        return (m_idx, bi, band_i), m_vals, b_val
+                        return (m_idx, bi, band_i), b_val
         return None
 
-    best = None  # (leaf key, x, M values, B, l0); tau breaks key ties, ascending
+    best = None  # (leaf key, x, B, l0); tau breaks key ties, ascending
     for tau, x, l0 in candidates:
         # stage 1: B guesses within one step of |x - C_root| + R
         dist_root = math.sqrt(sum((xk - ck) ** 2 for xk, ck in zip(x, root_center)))
@@ -423,20 +482,21 @@ def solve(inst: SsspInstance, *, eps_b: float | None = None,
             continue
         # stage 2: per level, M guesses within one step of the true cross sum
         m_idx_lists = []
-        for q, g in enumerate(geo.grids):
+        for q, (count, mbar_f, step_f, sn, mn, dd) in enumerate(levels):
             cs = cross_sum(geo.tree, q, x)
             m_idx_lists.append(_indices_near(
-                g.count, (cs + float(g.mbar)) / steps_f[q],
-                lambda i: abs(float(g.value(i)) - cs) <= steps_f[q] * (1 + 1e-9)))
+                count, (cs + mbar_f) / step_f,
+                lambda i: abs((i * sn - mn) / dd - cs) <= step_f * (1 + 1e-9)))
             if not m_idx_lists[-1]:
                 break
         else:
             leaf = first_leaf(tau, b_idx, m_idx_lists)
             if leaf is not None and (best is None or leaf[0] < best[0]):
-                best = (leaf[0], x, leaf[1], leaf[2], l0)
+                best = (leaf[0], x, leaf[1], l0)
     if best is None:
         return None
-    _, x, m_vals, b_val, l0 = best
+    (m_idx, _, _), x, b_val, l0 = best
+    m_vals = tuple(g.value(i) for g, i in zip(geo.grids, m_idx))
     return SsspCertificate(x=x, chosen_m=m_vals, chosen_b=Fraction(b_val),
                            l0_exact=l0, accepted=True, curvature=curvature_term(inst),
                            grid_size=geo.grid_size)

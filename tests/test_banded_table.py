@@ -79,16 +79,6 @@ CASES = _seeded_cases(240) + [(PartitionInstance(SLOT_REUSE_U),
                                {"big_n": exact_scale(SLOT_REUSE_U)})]
 
 
-@pytest.fixture(params=["int", "array"])
-def kernel(request, monkeypatch):
-    # most rows here are below 2^17 bits; zero thresholds force numpy rows
-    # that track their all-ones run at every width
-    if request.param == "array":
-        monkeypatch.setattr(dp, "ARRAY_KERNEL_MIN_BITS", 0)
-        monkeypatch.setattr(dp, "RUN_MIN_WORDS", 0)
-    return request.param
-
-
 def test_banded_family_matches_unbanded_and_per_target(kernel, monkeypatch):
     hits = full_fills = 0
     for inst, scale in CASES:
@@ -111,12 +101,9 @@ def test_banded_family_matches_unbanded_and_per_target(kernel, monkeypatch):
     assert 0 < full_fills < len(CASES)
 
 
-def _tables(u, kernel_name, monkeypatch):
+def _tables(u):
     """The table banded by u's shifted window [lo, hi] and the one over
     [0, hi], both filled to row 1."""
-    if kernel_name == "array":
-        monkeypatch.setattr(dp, "ARRAY_KERNEL_MIN_BITS", 0)
-        monkeypatch.setattr(dp, "RUN_MIN_WORDS", 0)
     fam = family_window(sum(u), len(u))
     lo, hi = fam.window[0], fam.window[-1]
     return ReachTable(u, hi, window_lo=lo), ReachTable(u, hi), fam
@@ -129,10 +116,9 @@ def _random_items(count: int):
                              for _ in range(count)]
 
 
-@pytest.mark.parametrize("kernel_name", ["int", "array"])
-def test_band_bits_equal_unbanded_rows_and_zero_above(kernel_name, monkeypatch):
+def test_band_bits_equal_unbanded_rows_and_zero_above(kernel):
     for u in _random_items(60):
-        banded, full, _ = _tables(u, kernel_name, monkeypatch)
+        banded, full, _ = _tables(u)
         # the stored rows: row n+1, the checkpoints and row 1
         assert set(banded.checkpoints) == set(full.checkpoints) >= {1, len(u) + 1}
         for k in banded.checkpoints:
@@ -145,18 +131,15 @@ def test_band_bits_equal_unbanded_rows_and_zero_above(kernel_name, monkeypatch):
                 assert test(row, s) == want, (u, k, s)
 
 
-@pytest.mark.parametrize("kernel_name", ["int", "array"])
-def test_banded_witnesses_of_every_window_target(kernel_name, monkeypatch):
+def test_banded_witnesses_of_every_window_target(kernel):
     for u in _random_items(60):
-        banded, full, fam = _tables(u, kernel_name, monkeypatch)
+        banded, full, fam = _tables(u)
         row = full.reach(1)
         taus = [tau for tau in fam.window if full.kernel.test(row, tau)]
         assert banded.witnesses(taus) == full.witnesses(taus), u
 
 
-def test_slot_reuse_regression(monkeypatch):
-    monkeypatch.setattr(dp, "ARRAY_KERNEL_MIN_BITS", 0)
-    monkeypatch.setattr(dp, "RUN_MIN_WORDS", 0)
+def test_slot_reuse_regression(numpy_rows):
     inst = PartitionInstance(SLOT_REUSE_U)
     q = quantize(inst, big_n=exact_scale(SLOT_REUSE_U))
     assert q.u == SLOT_REUSE_U

@@ -13,16 +13,6 @@ from slabsum.oracle import all_subset_sums
 from slabsum.quantize import quantize
 
 
-@pytest.fixture(params=["int", "array"])
-def kernel(request, monkeypatch):
-    # these rows are far below 2^17 bits; zero thresholds force numpy rows
-    # that track their all-ones run at every width
-    if request.param == "array":
-        monkeypatch.setattr(dp, "ARRAY_KERNEL_MIN_BITS", 0)
-        monkeypatch.setattr(dp, "RUN_MIN_WORDS", 0)
-    return request.param
-
-
 def test_hand_examples():
     assert dp_decide([1, 1, 2], 2) == (0, 0, 1)
     assert dp_decide([3, 5], 4) is None

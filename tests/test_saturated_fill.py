@@ -61,11 +61,9 @@ def table_cases(rng, u):
 
 
 @pytest.fixture
-def run_items(monkeypatch):
+def run_items(numpy_rows, monkeypatch):
     """Force numpy rows and run tracking at every width; count the items
     applied while a run was known."""
-    monkeypatch.setattr(dp, "ARRAY_KERNEL_MIN_BITS", 0)
-    monkeypatch.setattr(dp, "RUN_MIN_WORDS", 0)
     seen = {"items": 0, "run": 0}
     apply = dp._ArrayKernel.apply
 

@@ -48,16 +48,6 @@ def slices(table, tau, x):
         tau -= sum(w for w, b in zip(table.u[k - 1: cp - 1], x[k - 1: cp - 1]) if b)
 
 
-@pytest.fixture(params=["int", "array"])
-def kernel(request, monkeypatch):
-    # most rows here are below 2^17 bits; zero thresholds force numpy rows
-    # that track their all-ones run at every width
-    if request.param == "array":
-        monkeypatch.setattr(dp, "ARRAY_KERNEL_MIN_BITS", 0)
-        monkeypatch.setattr(dp, "RUN_MIN_WORDS", 0)
-    return request.param
-
-
 def test_walk_matches_reference_on_seeded_instances(kernel):
     seen = {"stopped": 0, "full": 0, "clamped": 0, "word_edge": 0}
     for inst, scale in CASES:
