@@ -12,30 +12,22 @@ records a count that does not depend on the machine: the 64-bit words the
 numpy fill shifts (null on Python-int rows), counted on one more, untimed
 fill.  Each figure is the median over seeds 0..4.
 
-    PYTHONPATH=src python scripts/bench_decide.py --before 6220331
+    PYTHONPATH=src python scripts/bench_decide.py --before 2031eeb
 
-measures the tree in src/ as "after" and, with --before REV, the src/ of
-git revision REV (unpacked with `git archive` into a temporary directory)
-as "before", each in its own interpreter, and writes both to
-BENCH_decide.json.
+measures the tree in src/ as "after" and the src/ of git revision 2031eeb
+as "before" and writes both to BENCH_decide.json (see benchlib.py).  It
+reads only table names both trees have: the stored rows in `checkpoints`,
+through `kernel.bits`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
-import tarfile
-import tempfile
 import time
-from io import BytesIO
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import benchlib
+
 SIZES = (128, 256, 512)
 SEEDS = range(5)
 REPEATS = 5
@@ -105,7 +97,7 @@ def measure_case(n: int, big_n: int, seed: int) -> dict:
         table = build()
         t1 = time.perf_counter()
         tau = order[0] if table.stopped_at is not None else next(
-            t for t in order if table.kernel.test(table.reach(1), t))
+            t for t in order if table.kernel.bits(table.checkpoints[1], t, t))
         x = table.witness(tau)
         t2 = time.perf_counter()
         fill_ms.append((t1 - t0) * 1e3)
@@ -130,46 +122,6 @@ def measure() -> list[dict]:
     return rows
 
 
-def cpu_model() -> str:
-    try:
-        with open("/proc/cpuinfo") as f:
-            return next(line.split(":", 1)[1].strip() for line in f
-                        if line.startswith("model name"))
-    except (OSError, StopIteration):
-        return platform.machine()
-
-
-def measure_tree(src: Path) -> list[dict]:
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, __file__, "--stages"], env=env,
-                         check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--before", metavar="REV", help="git revision measured as before")
-    parser.add_argument("--stages", action="store_true",
-                        help="print this interpreter's measurements as JSON and exit")
-    args = parser.parse_args()
-    if args.stages:
-        json.dump(measure(), sys.stdout)
-        return
-    doc = {"command": "PYTHONPATH=src python scripts/bench_decide.py"
-                      + (f" --before {args.before}" if args.before else ""),
-           "machine": {"python": platform.python_version(), "cpu": cpu_model(),
-                       "nproc": os.cpu_count()},
-           "median_of_seeds": list(SEEDS), "timing_repeats": REPEATS}
-    if args.before:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.before, "src"],
-                                 check=True, capture_output=True).stdout
-        with tempfile.TemporaryDirectory() as tmp:
-            with tarfile.open(fileobj=BytesIO(archive)) as tar:
-                tar.extractall(tmp, filter="data")
-            doc["before"] = {"rev": args.before, "stages": measure_tree(Path(tmp) / "src")}
-    doc["after"] = {"stages": measure_tree(ROOT / "src")}
-    (ROOT / "BENCH_decide.json").write_text(json.dumps(doc, indent=2) + "\n")
-
-
 if __name__ == "__main__":
-    main()
+    benchlib.main(__file__, __doc__, measure, "BENCH_decide.json",
+                  median_of_seeds=list(SEEDS), timing_repeats=REPEATS)

@@ -21,33 +21,21 @@ band cells of its table (`ReachTable.cells`), and whether it found a
 vertex.  Each figure is the median over the first SEEDS generator seeds
 whose quantized axis has no zero entry; found counts those seeds.
 
-    PYTHONPATH=src python scripts/bench_sssp.py --before 32b6d65
+    PYTHONPATH=src python scripts/bench_sssp.py --before 2031eeb
 
-measures the tree in src/ as "after" and, with --before REV, the src/ of
-git revision REV (unpacked with `git archive` into a temporary directory)
-as "before", each in its own interpreter, and writes both to
-BENCH_sssp.json.
+measures the tree in src/ as "after" and the src/ of git revision 2031eeb
+as "before" and writes both to BENCH_sssp.json (see benchlib.py).  It
+reads only table names both trees have: the stored rows in `checkpoints`,
+through `kernel.bits`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import statistics
-import subprocess
-import sys
-import tarfile
-import tempfile
 import time
-from io import BytesIO
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_decide import cpu_model  # noqa: E402
+import benchlib
 
-ROOT = Path(__file__).resolve().parent.parent
 SIZES = (8, 16, 24, 32, 40, 48)
 PS = (2, 4)
 KINDS = ("random", "duplicate")
@@ -134,7 +122,7 @@ def measure_case(inst, w) -> dict:
 
     budget = grid_cardinality(inst)
     full = ReachTable(w, sum(w))
-    attainable = sum(full.kernel.test(full.reach(1), tau) for tau in range(sum(w) + 1))
+    attainable = bin(full.kernel.bits(full.checkpoints[1], 0, sum(w))).count("1")
     runs = []
     for _ in range(REPEATS):
         stages = Stages()
@@ -169,37 +157,6 @@ def measure() -> list[dict]:
     return rows
 
 
-def measure_tree(src: Path) -> list[dict]:
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, __file__, "--stages"], env=env,
-                         check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--before", metavar="REV", help="git revision measured as before")
-    parser.add_argument("--stages", action="store_true",
-                        help="print this interpreter's measurements as JSON and exit")
-    args = parser.parse_args()
-    if args.stages:
-        json.dump(measure(), sys.stdout)
-        return
-    doc = {"command": "PYTHONPATH=src python scripts/bench_sssp.py"
-                      + (f" --before {args.before}" if args.before else ""),
-           "machine": {"python": platform.python_version(), "cpu": cpu_model(),
-                       "nproc": os.cpu_count()},
-           "bits": BITS, "seeds_per_case": SEEDS, "timing_repeats": REPEATS}
-    if args.before:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.before, "src"],
-                                 check=True, capture_output=True).stdout
-        with tempfile.TemporaryDirectory() as tmp:
-            with tarfile.open(fileobj=BytesIO(archive)) as tar:
-                tar.extractall(tmp, filter="data")
-            doc["before"] = {"rev": args.before, "stages": measure_tree(Path(tmp) / "src")}
-    doc["after"] = {"stages": measure_tree(ROOT / "src")}
-    (ROOT / "BENCH_sssp.json").write_text(json.dumps(doc, indent=2) + "\n")
-
-
 if __name__ == "__main__":
-    main()
+    benchlib.main(__file__, __doc__, measure, "BENCH_sssp.json",
+                  bits=BITS, seeds_per_case=SEEDS, timing_repeats=REPEATS)

@@ -1,0 +1,70 @@
+"""Command line shared by the stage benches (bench_decide.py, bench_sssp.py).
+
+`python scripts/bench_X.py --stages` prints the script's measure() as JSON
+for the slabsum on PYTHONPATH.  Without --stages the script measures the
+tree in src/ as "after" and, with --before REV, the src/ of git revision
+REV (unpacked with `git archive` into a temporary directory) as "before",
+each in its own interpreter, and writes both, with the machine and the
+bench's settings, to its BENCH_*.json at the repository root.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import tarfile
+import tempfile
+from io import BytesIO
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as f:
+            return next(line.split(":", 1)[1].strip() for line in f
+                        if line.startswith("model name"))
+    except (OSError, StopIteration):
+        return platform.machine()
+
+
+def measure_tree(script: str, src: Path) -> list[dict]:
+    """The script's measurements of the slabsum in src, in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, script, "--stages"], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def main(script: str, doc: str, measure, out_name: str, **settings) -> None:
+    """Run a stage bench: script is its file, doc its docstring, measure()
+    its per-interpreter measurements and settings what the JSON records
+    about them."""
+    parser = argparse.ArgumentParser(description=doc.split("\n\n")[0])
+    parser.add_argument("--before", metavar="REV", help="git revision measured as before")
+    parser.add_argument("--stages", action="store_true",
+                        help="print this interpreter's measurements as JSON and exit")
+    args = parser.parse_args()
+    if args.stages:
+        json.dump(measure(), sys.stdout)
+        return
+    result = {"command": f"PYTHONPATH=src python scripts/{Path(script).name}"
+                         + (f" --before {args.before}" if args.before else ""),
+              "machine": {"python": platform.python_version(), "cpu": cpu_model(),
+                          "nproc": os.cpu_count()},
+              **settings}
+    if args.before:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.before, "src"],
+                                 check=True, capture_output=True).stdout
+        with tempfile.TemporaryDirectory() as tmp:
+            with tarfile.open(fileobj=BytesIO(archive)) as tar:
+                tar.extractall(tmp, filter="data")
+            result["before"] = {"rev": args.before,
+                                "stages": measure_tree(script, Path(tmp) / "src")}
+    result["after"] = {"stages": measure_tree(script, ROOT / "src")}
+    (ROOT / out_name).write_text(json.dumps(result, indent=2) + "\n")

@@ -25,9 +25,10 @@ reads lies in the band, so answers are unchanged; on planted instances the
 band is about half of each row.  The budget still counts full rows,
 (n+1)*(hi+1) cells, before any row is allocated.
 
-Two interchangeable row kernels produce the same band bits: plain Python
-ints for narrow rows, and preallocated numpy uint64 arrays for wide ones,
-where avoiding per-op allocation is worth roughly an order of magnitude.
+Two interchangeable row kernels, which only ReachTable calls, produce the
+same band bits: plain Python ints for narrow rows, and preallocated numpy
+uint64 arrays for wide ones, where avoiding per-op allocation is worth
+roughly an order of magnitude.
 Most words of a wide row soon lie in one run of all-ones words (the dense
 middle interval of many comparable items' sums; Galil & Margalit, SIAM J.
 Comput. 1991), which the numpy kernel tracks and never shifts again, and
@@ -87,10 +88,20 @@ class _IntKernel:
     a banded table allows.  The band arguments are therefore ignored."""
 
     def __init__(self, cap: int):
+        self.cap = cap
         self.mask = (1 << (cap + 1)) - 1
 
     def one(self):
         return 1
+
+    def apply(self, row: int, w: int, band) -> int:
+        """row | row << w up to the cap; a weight above the cap adds nothing,
+        and skipping it saves building an int w bits wider only to mask it."""
+        return (row | row << w) & self.mask if w <= self.cap else row
+
+    @staticmethod
+    def has(row: int, bit: int) -> bool:
+        return row >> bit & 1 == 1
 
     @staticmethod
     def snapshot(row: int, band) -> int:
@@ -102,10 +113,6 @@ class _IntKernel:
     def bits(row: int, lo: int, hi: int) -> int:
         """Bits lo..hi of row, as an int whose bit 0 is bit lo."""
         return (row >> lo) & ((1 << (hi - lo + 1)) - 1)
-
-    @staticmethod
-    def test(row: int, s: int) -> bool:
-        return (row >> s) & 1 == 1
 
 
 class _ArrayKernel:
@@ -159,8 +166,14 @@ class _ArrayKernel:
         if last == self.words - 1:
             row[last] &= self.top_mask
         if last + 1 - first >= RUN_MIN_WORDS:
-            self._grow_run(row, first, last, max(b, min(top, last)))
+            self.run = (a, max(b, min(top, last)))
+            self._grow_run(row, first, last)
         return row
+
+    @staticmethod
+    def has(row, bit: int) -> bool:
+        """Whether the rolling row holds bit."""
+        return int(row[bit >> 6]) >> (bit & 63) & 1 == 1
 
     def _shift_or(self, row, q: int, r: int, lo: int, hi: int) -> None:
         """row[lo..hi] |= (row << 64q + r)[lo..hi], all read before any is
@@ -180,10 +193,10 @@ class _ArrayKernel:
                 _np.bitwise_or(sh[c - lo:], carry, out=sh[c - lo:])
         _np.bitwise_or(row[lo: hi + 1], sh, out=row[lo: hi + 1])
 
-    def _grow_run(self, row, first: int, last: int, b: int) -> None:
-        """Extend the run, whose top is now b, over all-ones words within
-        the band; with no run, start one at the band's middle word."""
-        a = self.run[0]
+    def _grow_run(self, row, first: int, last: int) -> None:
+        """Extend the run over all-ones words within the band; with no run,
+        start one at the band's middle word."""
+        a, b = self.run
         if a > b:
             a = b = (first + last) // 2
             if row[a] != _ONES:
@@ -206,12 +219,6 @@ class _ArrayKernel:
         """(first, a copy of row's band words from word first on)."""
         first, words = cls.keep(row, band)
         return first, words.copy()
-
-    @staticmethod
-    def test(stored, s: int) -> bool:
-        first, words = stored
-        i = (s >> 6) - first
-        return 0 <= i < len(words) and (int(words[i]) >> (s & 63)) & 1 == 1
 
     @staticmethod
     def bits(stored, lo: int, hi: int) -> int:
@@ -249,8 +256,9 @@ class ReachTable:
 
     Row k is the bit set of sums attainable from items k..n (1-based); row
     n+1 = {0}.  The table stores row n+1, every stride-th row below it and
-    the last row filled; reach(k) gives a stored row, and witnesses()
-    re-derives the rows between checkpoints on the bits it reads.
+    the last row filled in checkpoints; attained() reads the window off the
+    last row, and witnesses() re-derives the rows between checkpoints on the
+    bits it reads.  Only the kernel knows how a row is stored.
 
     The table is banded by its window [window_lo, cap]: only sums that can
     still end in the window are kept.  Row k then needs only its bits in
@@ -260,9 +268,10 @@ class ReachTable:
     row to the next; a bit above the band is zero (no subset of items k..n
     reaches it, or it lies above the cap), and bits below the band may hold
     stale values.  Every bit a window decision reads is in the band: the
-    window bits of row 1, and each sigma that witnesses() tests in row k+1,
-    which is at least tau - P(k-1).  window_lo = 0 keeps every attainable
-    sum up to the cap.  The budget still counts (n+1)*(cap+1).
+    window bits of the last row filled, and each sigma that witnesses()
+    tests in row k+1, which is at least tau - P(k-1).  window_lo = 0 keeps
+    every attainable sum up to the cap.  The budget still counts
+    (n+1)*(cap+1).
     """
 
     def __init__(self, u: tuple[int, ...], cap: int, *, budget_cells: int | None = None,
@@ -285,30 +294,14 @@ class ReachTable:
         self.checkpoints = {n + 1: kern.snapshot(row, band(n + 1))}
         next_cp = n + 1 - self.stride
         k = 1
-        if isinstance(kern, _IntKernel):
-            # inlined hot loop: a method call per item would dominate narrow rows
-            mask = kern.mask
-            probe = (1 << early_stop_bit) if early_stop_bit is not None else 0
-            for k in range(n, 0, -1):
-                w = u[k - 1]
-                if w <= cap:
-                    row = (row | (row << w)) & mask
-                if k == next_cp:
-                    self.checkpoints[k] = row
-                    next_cp -= self.stride
-                if probe and row & probe:
-                    self.stopped_at = k
-                    break
-        else:
-            for k in range(n, 0, -1):
-                row = kern.apply(row, u[k - 1], band(k))
-                if k == next_cp:
-                    self.checkpoints[k] = kern.snapshot(row, band(k))
-                    next_cp -= self.stride
-                if early_stop_bit is not None and int(row[early_stop_bit >> 6]) >> (
-                        early_stop_bit & 63) & 1:
-                    self.stopped_at = k
-                    break
+        for k in range(n, 0, -1):
+            row = kern.apply(row, u[k - 1], band(k))
+            if k == next_cp:
+                self.checkpoints[k] = kern.snapshot(row, band(k))
+                next_cp -= self.stride
+            if early_stop_bit is not None and kern.has(row, early_stop_bit):
+                self.stopped_at = k
+                break
         self.rows_done = n - k + 1 if n else 0
         last = self.stopped_at or 1
         # the rolling row is not written again, so its band words are stored as they are
@@ -323,18 +316,20 @@ class ReachTable:
                    for lo, hi in map(self.band, range(n - self.rows_done + 1, n + 1)))
 
     def band(self, k: int) -> tuple[int, int]:
-        """The bits [L, H] of reach(k) that this table keeps."""
+        """The bits [L, H] of row k that this table keeps."""
         suf = self._suf[k]
         return max(0, self.window_lo - self._suf[1] + suf), min(self.cap, suf)
 
-    def reach(self, k: int):
-        """Stored row k: n+1, a checkpoint, or the last row filled (stopped_at,
-        else 1).  Only the bits of band(k) are valid."""
-        return self.checkpoints[k]
+    def attained(self) -> list[int]:
+        """The window targets [window_lo, cap] that the last row filled
+        (stopped_at, else 1) holds, ascending, read as one slice of it."""
+        lo = self.window_lo
+        bits = self.kernel.bits(self.checkpoints[self.stopped_at or 1], lo, self.cap)
+        return [lo + i for i, bit in enumerate(reversed(f"{bits:b}")) if bit == "1"]
 
     def witness(self, tau: int) -> tuple[int, ...]:
         """Lexicographically smallest 0/1 vector whose chosen items sum to
-        tau, which must be a set bit of reach(stopped_at or 1).
+        tau, which must be in attained().
 
         Ties break toward excluding earlier items; items before stopped_at
         are excluded outright, since later items alone already reach tau.
@@ -412,8 +407,7 @@ def attainable_witnesses(u, lo: int, hi: int, *, budget_cells: int | None = None
     """
     u = tuple(u)
     table = ReachTable(u, hi, budget_cells=budget_cells, window_lo=lo)
-    row = table.reach(1)
-    taus = [tau for tau in range(lo, hi + 1) if table.kernel.test(row, tau)]
+    taus = table.attained()
     return list(zip(taus, table.witnesses(taus)))
 
 
@@ -452,23 +446,21 @@ def solve_family(q: QuantizedNormal, *, budget_cells: int | None = None) -> Fami
 
     Targets are taken center-out: by distance from total/2, the lower one
     first on a tie.  One ReachTable capped at the window top hi answers them
-    all.  The fill stops as soon as the first target's bit appears;
-    otherwise it runs to row 1, and the first set bit in center-out order is
-    the hit.  targets_scanned is the hit's 1-based position in that order,
-    or the window size when nothing hits.  The budget is checked once, for
-    (n+1)*(hi+1) cells, before any row is allocated.
+    all.  The fill stops as soon as the first target's bit appears,
+    otherwise it runs to row 1; the hit is the first target in center-out
+    order that the last row filled attains.  targets_scanned is the hit's
+    1-based position in that order, or the window size when nothing hits.
+    The budget is checked once, for (n+1)*(hi+1) cells, before any row is
+    allocated.
     """
     total = q.total_u
     fam = family_window(total, q.n)
     order = sorted(fam.window, key=lambda tau: (abs(2 * tau - total), tau))
     table = ReachTable(q.u, fam.window[-1], budget_cells=budget_cells,
                        early_stop_bit=order[0], window_lo=fam.window[0])
-    if table.stopped_at is not None:
-        pos = 0
-    else:
-        row = table.reach(1)
-        pos = next((i for i, tau in enumerate(order) if table.kernel.test(row, tau)), None)
-        if pos is None:
-            return FamilyScan(fam, None, len(order))
+    attained = set(table.attained())
+    pos = next((i for i, tau in enumerate(order) if tau in attained), None)
+    if pos is None:
+        return FamilyScan(fam, None, len(order))
     tau = order[pos]
     return FamilyScan(fam, (fam.t_of(tau), table.witness(tau)), pos + 1)

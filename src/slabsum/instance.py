@@ -10,6 +10,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 
@@ -140,6 +141,11 @@ class SsspInstance:
     def n(self) -> int:
         return len(self.weight_rows[0])
 
+    @cached_property
+    def row_norms_sq(self) -> tuple[int, ...]:
+        """|S_i|^2 of each weight row, summed once; being frozen, it cannot be set."""
+        return tuple(sum(w * w for w in row) for row in self.weight_rows)
+
 
 Instance = SspInstance | PartitionInstance | SsspInstance
 
@@ -201,6 +207,8 @@ def gen_sssp_random(n: int, m: int, p: int, seed: int, *,
     at or below delta/8.
     """
     delta = Fraction(delta)
+    if delta <= 0:
+        raise ValueError("delta must be positive")
     if rho is None:
         rho = Fraction(n) / delta
     if duplicate:

@@ -149,7 +149,7 @@ def min_vertex_L0(inst: SsspInstance, *, max_n: int = DEFAULT_MAX_N) -> tuple[Fr
     """
     _check_cap(inst.n, max_n)
     rows = inst.weight_rows
-    norms = [sum(w * w for w in row) for row in rows]
+    norms = inst.row_norms_sq
     totals = [sum(row) for row in rows]
     rho_sq = inst.rho * inst.rho
     # d_i = 2*S_i.x - total_i tracked incrementally; L0 = sum rho^2 d_i^2 / m_i

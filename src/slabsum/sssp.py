@@ -211,8 +211,8 @@ def build_shells(inst: SsspInstance) -> tuple[Shell, ...]:
     radius_sq = inst.rho * inst.rho + Fraction(n, 4)
     rho_f = float(inst.rho)
     shells = []
-    for row in inst.weight_rows:
-        norm = math.sqrt(sum(w * w for w in row))
+    for row, m in zip(inst.weight_rows, inst.row_norms_sq):
+        norm = math.sqrt(m)
         center = tuple(0.5 - rho_f * w / norm for w in row)
         shells.append(Shell(center=center, radius_sq=radius_sq, anchor=row, rho=inst.rho))
     return tuple(shells)
@@ -221,9 +221,8 @@ def build_shells(inst: SsspInstance) -> tuple[Shell, ...]:
 def exact_l0(inst: SsspInstance, x) -> Fraction:
     """Exact sum of squared shell residuals at a vertex, via the anchor identity."""
     num, den = 0, 1
-    for row in inst.weight_rows:
+    for row, m in zip(inst.weight_rows, inst.row_norms_sq):
         d = 2 * sum(w for w, b in zip(row, x) if b) - sum(row)
-        m = sum(w * w for w in row)
         num, den = num * m + d * d * den, den * m
     rho = inst.rho
     return Fraction(rho.numerator ** 2 * num, rho.denominator ** 2 * den)
@@ -292,8 +291,8 @@ def geometry(inst: SsspInstance, eps_b: float | None) -> Geometry:
     b_up = half_diag + axis_norm + root_radius
     if eps_b is None:
         eps_b = float(inst.delta) / (8 * b_up)
-    if eps_b <= 0:
-        raise ValueError("eps_b must be positive")
+    if not (math.isfinite(eps_b) and eps_b > 0):
+        raise ValueError(f"eps_b must be finite and positive, got {eps_b}")
     b_count = max(1, math.ceil((b_up - b_lo) / eps_b) + 1)
     grid_size = b_count
     for g in grids:
@@ -329,8 +328,7 @@ def l0_window(inst: SsspInstance, geo: Geometry, scale: int,
     d, p = _WINDOW_D, inst.p
     big_a = 0
     ws = [d * wk for wk in w]
-    for row in inst.weight_rows:
-        m = sum(sk * sk for sk in row)
+    for row, m in zip(inst.weight_rows, inst.row_norms_sq):
         a = round(d * scale * float(inst.rho) / (p * geo.axis_norm * math.sqrt(m)))
         big_a += a * a * m
         ws = [v - a * sk for v, sk in zip(ws, row)]
@@ -376,8 +374,7 @@ def _indices_near(count: int, pos: float, accept) -> list[int]:
     return [i for i in range(max(0, base - 2), min(count, base + 4)) if accept(i)]
 
 
-def solve(inst: SsspInstance, *, eps_b: float | None = None,
-          leaf_budget: int = 10_000_000, c: int = 2,
+def solve(inst: SsspInstance, *, leaf_budget: int = 10_000_000, c: int = 2,
           budget_cells: int | None = None,
           geo: Geometry | None = None) -> SsspCertificate | None:
     """Search over cross-term guesses M and the circumference guess B,
@@ -407,11 +404,12 @@ def solve(inst: SsspInstance, *, eps_b: float | None = None,
     the cell budget still counts (n+1)*(sum(w)+1) cells for the whole
     axis, checked before any row is allocated.
 
-    A caller that needs the grid size whatever the outcome passes
-    geo = geometry(inst, eps_b) so it is built once; eps_b is then unused.
+    geo is geometry(inst, eps_b), built here with the default eps_b when
+    not given; a caller that sets eps_b or needs the grid size whatever the
+    outcome builds it once and passes it.
     """
     if geo is None:
-        geo = geometry(inst, eps_b)
+        geo = geometry(inst, None)
     if geo.grid_size > leaf_budget:
         raise GridBudgetError(
             f"(M, B) grid has {geo.grid_size} leaves, budget is {leaf_budget}",

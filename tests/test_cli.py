@@ -107,6 +107,29 @@ def test_gen_sssp_kind(tmp_path):
     assert inst.rho == Fraction(10, 2)
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--delta", "0", "delta must be positive"),
+    ("--delta", "-1", "delta must be positive"),
+    ("--eps-b", "nan", "eps_b must be finite and positive"),
+    ("--eps-b", "inf", "eps_b must be finite and positive"),
+    ("--eps-b", "0", "eps_b must be finite and positive"),
+])
+def test_bad_sssp_numbers_are_one_line_usage_errors(tmp_path, capsys, flag, value, message):
+    inst_path = tmp_path / "s.json"
+    gen = ["gen", "--n", "10", "--bits", "3", "--kind", "sssp", "--out", str(inst_path)]
+    if flag == "--delta":
+        argv = gen + [f"--delta={value}"]
+    else:
+        assert run(gen) == 0
+        argv = ["solve-sssp", "--in", str(inst_path), f"--eps-b={value}"]
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert err.startswith(f"slabsum: error: {message}"), err
+    assert inst_path.exists() == (flag == "--eps-b")
+
+
 def test_usage_errors(tmp_path):
     assert run(["decide-slab", "--in", str(tmp_path / "missing.json"), "--c", "2"]) == 1
     assert run(["no-such-command"]) == 1

@@ -32,7 +32,8 @@ def test_recurrence_row_by_row():
         expect[k] = prev | {s + u[k - 1] for s in prev if s + u[k - 1] <= cap}
     assert set(table.checkpoints) >= {1, n + 1}
     for k, row in table.checkpoints.items():
-        got = {s for s in range(cap + 1) if table.kernel.test(row, s)}
+        bits = table.kernel.bits(row, 0, cap)
+        got = {s for s in range(cap + 1) if bits >> s & 1}
         assert got == expect[k]
 
 
@@ -45,6 +46,19 @@ def test_agrees_with_enumeration_on_all_targets(kernel):
         assert (x is not None) == (tau in sums)
         if x is not None:
             assert sum(w for w, b in zip(u, x) if b) == tau
+    total = sum(u)
+    for lo, hi in ((0, total), (total // 3, 2 * total // 3), (total // 2, total // 2)):
+        table = ReachTable(tuple(u), hi, window_lo=lo)
+        assert table.attained() == sorted(s for s in sums if lo <= s <= hi), (lo, hi)
+    # an early-stopped table attains the window sums of items stopped_at..n
+    lo, hi = total // 4, 3 * total // 4
+    first = min(s for s in sums if s >= total // 2)
+    table = ReachTable(tuple(u), hi, early_stop_bit=first, window_lo=lo)
+    k = table.stopped_at
+    assert k is not None and k > 1
+    got = table.attained()
+    assert first in got
+    assert got == sorted(s for s in all_subset_sums(u[k - 1:]) if lo <= s <= hi)
 
 
 @settings(max_examples=200, deadline=None)
@@ -112,7 +126,7 @@ def test_early_stop_and_full_rows_agree(kernel):
     u = tuple(rng.randrange(1, 64) for _ in range(12))
     for tau in range(0, sum(u) + 1, 7):
         slow = ReachTable(u, tau)
-        reachable = slow.kernel.test(slow.reach(1), tau)
+        reachable = tau in slow.attained()
         # window_lo = tau is the table dp_run builds
         for lo in (0, tau):
             fast = ReachTable(u, tau, early_stop_bit=tau, window_lo=lo)

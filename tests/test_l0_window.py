@@ -70,8 +70,7 @@ def test_windowed_witnesses_equal_the_full_axis_table_on_larger_systems():
         geo, scale, w = quantized(inst)
         lo, hi = l0_window(inst, geo, scale, w)
         full = ReachTable(w, sum(w))
-        row = full.reach(1)
-        taus = [tau for tau in range(sum(w) + 1) if full.kernel.test(row, tau)]
+        taus = full.attained()
         pairs = list(zip(taus, full.witnesses(taus)))
         for tau, x in pairs:
             if exact_l0(inst, x) <= 5 * inst.delta:
