@@ -1,23 +1,29 @@
 #!/usr/bin/env python3
-"""Per-stage split of one slab decision: reachability fill against witness walk.
+"""One slab decision, whole and split: solve_family against its table's fill and walk.
 
 For planted 16-bit instances at n in {128, 256, 512}, at the scales the
 decide-planted workload uses (N = n^2, `decide-slab --c 2`, and N = 4n^2,
-`solve-fptas --epsilon 1/(4n)`), it builds the table solve_family builds,
-times the fill and the walk of the hit's witness apart, each as the median
-of REPEATS runs, and records the checkpoints stored, the megabytes of row
+`solve-fptas --epsilon 1/(4n)`), it times the whole decision,
+`solve_family` (decide_ms), and records the position of its hit
+(targets_scanned).  On a tree with the complement probe, `center_probe`,
+it records on how many seeds the probe answered the decision
+(probe_answered) and the widest row it filled, in bits (probe_width);
+both are null on a tree without one.  Then it builds the table
+solve_family falls back to, times the fill and the walk of the hit's
+witness apart, and records the checkpoints stored, the megabytes of row
 storage the table holds after the walk, and the bits the walk rebuilds
 (rows re-derived times the width of each).  Next to the fill time it
 records a count that does not depend on the machine: the 64-bit words the
 numpy fill shifts (null on Python-int rows), counted on one more, untimed
-fill.  Each figure is the median over seeds 0..4.
+fill.  Each time is the median of REPEATS runs, and each figure the median
+over seeds 0..4, but probe_answered, a sum, and probe_width, a maximum.
 
-    PYTHONPATH=src python scripts/bench_decide.py --before 2031eeb
+    PYTHONPATH=src python scripts/bench_decide.py --before 11e8157
 
-measures the tree in src/ as "after" and the src/ of git revision 2031eeb
+measures the tree in src/ as "after" and the src/ of git revision 11e8157
 as "before" and writes both to BENCH_decide.json (see benchlib.py).  It
-reads only table names both trees have: the stored rows in `checkpoints`,
-through `kernel.bits`.
+reads only names both trees have, but center_probe, which it looks up: the
+table's stored rows in `checkpoints`, through `kernel.bits`.
 """
 
 from __future__ import annotations
@@ -80,13 +86,21 @@ def shifted_words(build):
 
 
 def measure_case(n: int, big_n: int, seed: int) -> dict:
-    from slabsum.dp import ReachTable, family_window
+    from slabsum import dp
+    from slabsum.dp import ReachTable, family_window, solve_family
     from slabsum.instance import gen_planted
     from slabsum.quantize import quantize
 
     q = quantize(gen_planted(n, 16, seed), big_n=big_n)
     fam = family_window(q.total_u, q.n)
     order = sorted(fam.window, key=lambda tau: (abs(2 * tau - q.total_u), tau))
+    decide_ms = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        scan = solve_family(q)
+        decide_ms.append((time.perf_counter() - t0) * 1e3)
+    probe = getattr(dp, "center_probe", None)
+    answer = probe(q.u, order[0], fam.window[-1]) if probe else None
 
     def build():
         return ReachTable(q.u, fam.window[-1], early_stop_bit=order[0], window_lo=fam.window[0])
@@ -103,7 +117,11 @@ def measure_case(n: int, big_n: int, seed: int) -> dict:
         fill_ms.append((t1 - t0) * 1e3)
         walk_ms.append((t2 - t1) * 1e3)
     assert sum(w for w, b in zip(q.u, x) if b) == tau
-    return {"fill_ms": statistics.median(fill_ms), "fill_words_shifted": shifted_words(build),
+    assert scan.hit == (fam.t_of(tau), x)
+    return {"decide_ms": statistics.median(decide_ms), "targets_scanned": scan.targets_scanned,
+            "probe_answered": None if probe is None else int(answer is not None),
+            "probe_width": None if probe is None else answer[0] if answer else 0,
+            "fill_ms": statistics.median(fill_ms), "fill_words_shifted": shifted_words(build),
             "walk_ms": statistics.median(walk_ms),
             "checkpoints": len(table.checkpoints), "held_mb": held_mb(table),
             "walk_bits": walk_bits(table, tau, x)}
@@ -117,7 +135,8 @@ def measure() -> list[dict]:
             row = {"n": n, "scale": scale, "big_n": big_n, "seeds": len(runs)}
             for key in runs[0]:
                 values = [r[key] for r in runs]
-                row[key] = None if None in values else round(statistics.median(values), 3)
+                merge = {"probe_answered": sum, "probe_width": max}.get(key, statistics.median)
+                row[key] = None if None in values else round(merge(values), 3)
             rows.append(row)
     return rows
 

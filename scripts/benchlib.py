@@ -6,6 +6,11 @@ tree in src/ as "after" and, with --before REV, the src/ of git revision
 REV (unpacked with `git archive` into a temporary directory) as "before",
 each in its own interpreter, and writes both, with the machine and the
 bench's settings, to its BENCH_*.json at the repository root.
+
+The two trees are measured in ROUNDS alternating rounds, the tree that
+goes first alternating too, so load that drifts during the run reaches
+both.  Each timing column (a key ending in _ms) is the median over the
+rounds; every other column is a count and must repeat exactly.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -22,6 +28,7 @@ from io import BytesIO
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+ROUNDS = 5
 
 
 def cpu_model() -> str:
@@ -41,6 +48,24 @@ def measure_tree(script: str, src: Path) -> list[dict]:
     return json.loads(out)
 
 
+def merge_rounds(rounds: list[list[dict]]) -> list[dict]:
+    """One list of rows from a tree's rounds: the median of each _ms column
+    (null when any round has none) and the value of every other column,
+    which must be the same in every round."""
+    merged = []
+    for rows in zip(*rounds):
+        row = {}
+        for key, value in rows[0].items():
+            values = [r[key] for r in rows]
+            if key.endswith("_ms"):
+                value = None if None in values else round(statistics.median(values), 3)
+            elif values.count(value) != len(values):
+                raise RuntimeError(f"count column {key} differs between rounds: {values}")
+            row[key] = value
+        merged.append(row)
+    return merged
+
+
 def main(script: str, doc: str, measure, out_name: str, **settings) -> None:
     """Run a stage bench: script is its file, doc its docstring, measure()
     its per-interpreter measurements and settings what the JSON records
@@ -57,14 +82,20 @@ def main(script: str, doc: str, measure, out_name: str, **settings) -> None:
                          + (f" --before {args.before}" if args.before else ""),
               "machine": {"python": platform.python_version(), "cpu": cpu_model(),
                           "nproc": os.cpu_count()},
-              **settings}
-    if args.before:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.before, "src"],
-                                 check=True, capture_output=True).stdout
-        with tempfile.TemporaryDirectory() as tmp:
+              **settings, "rounds": ROUNDS}
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {"after": ROOT / "src"}
+        if args.before:
+            archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.before, "src"],
+                                     check=True, capture_output=True).stdout
             with tarfile.open(fileobj=BytesIO(archive)) as tar:
                 tar.extractall(tmp, filter="data")
-            result["before"] = {"rev": args.before,
-                                "stages": measure_tree(script, Path(tmp) / "src")}
-    result["after"] = {"stages": measure_tree(script, ROOT / "src")}
+            trees = {"before": Path(tmp) / "src", **trees}
+        rounds = {name: [] for name in trees}
+        for i in range(ROUNDS):
+            for name in list(trees)[:: 1 if i % 2 == 0 else -1]:
+                rounds[name].append(measure_tree(script, trees[name]))
+    if args.before:
+        result["before"] = {"rev": args.before, "stages": merge_rounds(rounds["before"])}
+    result["after"] = {"stages": merge_rounds(rounds["after"])}
     (ROOT / out_name).write_text(json.dumps(result, indent=2) + "\n")

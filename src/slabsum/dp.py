@@ -33,6 +33,22 @@ Most words of a wide row soon lie in one run of all-ones words (the dense
 middle interval of many comparable items' sums; Galil & Margalit, SIAM J.
 Comput. 1991), which the numpy kernel tracks and never shifts again, and
 it stores each checkpoint as the slice of its band words alone.
+
+Before any table, solve_family tries the complement probe on the target
+it looks at first, the center of the window.  Subset sums are symmetric:
+tau is in row k iff D_k = Suf(k) - tau is, and bits [0, W] of row k depend
+only on bits [0, W] of row k+1.  So Python-int rows masked to [0, W]
+decide "tau in row k" exactly while D_k <= W, and D_k only grows as k
+falls (balancing around the break solution, in the spirit of Pisinger
+1999).  The walk keeps to the same small rows, since D only falls along
+it.  On planted instances the center target appears where D is tens of
+thousands of bits, against a window top of millions, so the decision needs
+no wide table.  The probe's rows are never wider than a fixed share of the
+window top: it is skipped when that share is below its starting width or
+below D at the first row that can reach tau, and it gives up when it would
+grow past that share; then, and when tau is not attained, the table
+answers as before.  The budget is checked before either.  dp_run builds
+its table directly, so it stays an independent reference for the probe.
 """
 
 from __future__ import annotations
@@ -53,6 +69,10 @@ DEFAULT_BUDGET_CELLS = 1 << 34
 ARRAY_KERNEL_MIN_BITS = 1 << 17
 # bands narrower than this many words skip the all-ones run bookkeeping
 RUN_MIN_WORDS = 8192
+# the complement probe's rows are at least 2^12 and at most 1/PROBE_SHARE of
+# the window top bits wide; below that top it is skipped
+PROBE_MIN_BITS = 1 << 12
+PROBE_SHARE = 8
 _ONES = _np.uint64(2**64 - 1)
 
 
@@ -369,12 +389,88 @@ class ReachTable:
         return [tuple(x) for x in xs]
 
 
+def center_probe(u: tuple[int, ...], tau: int, top: int
+                 ) -> tuple[int, int, tuple[int, ...]] | None:
+    """(width, stop, x) when the complement probe finds tau: stop is the
+    first row, filling from n down, that attains tau (a ReachTable's
+    stopped_at), x the lexicographically smallest witness and width the
+    probe's row width in bits; None when it gives up or tau is not attained.
+
+    tau is in row k iff D_k = Suf(k) - tau is, and bits [0, W] of row k
+    depend only on bits [0, W] of row k+1, so Python-int rows masked to
+    [0, W] decide row k exactly while 0 <= D_k <= W.  D_k only grows as k
+    falls.  The cap on W is top // PROBE_SHARE.  The probe is skipped, in
+    O(n), when the cap is below PROBE_MIN_BITS or d0, D at the first row
+    whose suffix sum reaches tau, exceeds the cap; otherwise W starts at the
+    least power of two at or above max(2 d0, PROBE_MIN_BITS), or at the cap
+    if that is lower, and grows 4x on each give-up, up to the cap.
+    """
+    cap = top // PROBE_SHARE
+    if cap < PROBE_MIN_BITS:
+        return None
+    suf = 0
+    for w in reversed(u):
+        suf += w
+        if suf >= tau:
+            break
+    if not 0 <= suf - tau <= cap:
+        return None
+    width = min(cap, max(PROBE_MIN_BITS, 1 << (2 * (suf - tau) - 1).bit_length()))
+    while (found := _probe_stop(u, tau, width)) is None:
+        # D_1 within the width is a miss, which no wider probe changes
+        if sum(u) - tau <= width or width >= cap:
+            return None
+        width = min(4 * width, cap)
+    stop, d = found
+    return width, stop, _probe_witness(u, stop, d)
+
+
+def _probe_stop(u, tau: int, width: int) -> tuple[int, int] | None:
+    """(stop, D_stop) of a probe at width, keeping no row; None when D_k
+    passes the width, or row 1 is reached, with no hit."""
+    mask = (1 << (width + 1)) - 1
+    row = 1
+    d = -tau
+    for k in range(len(u), 0, -1):
+        w = u[k - 1]
+        if w <= width:
+            row = (row | row << w) & mask
+        d += w
+        if d > width:
+            return None
+        if d >= 0 and row >> d & 1:
+            return k, d
+    return None
+
+
+def _probe_witness(u, stop: int, d: int) -> tuple[int, ...]:
+    """The witness of tau from row stop, where D = d: rows stop+1..n+1 are
+    filled again on bits [0, d] alone, since D only falls along the walk.
+    Item k is taken iff D - u_k is not in row k+1, which is the test
+    "sigma is not in row k+1" of ReachTable.witness; when it is not taken,
+    D drops by u_k."""
+    mask = (1 << (d + 1)) - 1
+    rows = [1]
+    for w in reversed(u[stop:]):
+        rows.append((rows[-1] | rows[-1] << w) & mask)
+    x = [0] * len(u)
+    for k, row in zip(range(stop, len(u) + 1), reversed(rows)):
+        rest = d - u[k - 1]
+        if rest < 0 or not row >> rest & 1:
+            x[k - 1] = 1
+        else:
+            d = rest
+    assert d == 0
+    return tuple(x)
+
+
 def dp_run(u, tau: int, *, budget_cells: int | None = None) -> DpRun:
     """Decide whether a subset of u sums to tau, and if so give the
     lexicographically smallest solution vector.
 
     The table is banded by the window [tau, tau], and its fill stops at the
     first row whose sums reach tau.  The budget counts (n+1)*(tau+1) cells.
+    Unlike solve_family, it runs no complement probe first.
     """
     u = tuple(u)
     n = len(u)
@@ -445,16 +541,23 @@ def solve_family(q: QuantizedNormal, *, budget_cells: int | None = None) -> Fami
     subset attains, with its lexicographically smallest witness.
 
     Targets are taken center-out: by distance from total/2, the lower one
-    first on a tie.  One ReachTable capped at the window top hi answers them
-    all.  The fill stops as soon as the first target's bit appears,
-    otherwise it runs to row 1; the hit is the first target in center-out
-    order that the last row filled attains.  targets_scanned is the hit's
-    1-based position in that order, or the window size when nothing hits.
-    The budget is checked once, for (n+1)*(hi+1) cells, before any row is
-    allocated.
+    first on a tie.  The budget is checked first, for (n+1)*(hi+1) cells,
+    before any row is allocated.  center_probe then looks for the first
+    target on narrow rows; a hit is the answer, with targets_scanned = 1.
+    When the probe is skipped, gives up or misses, one ReachTable capped at
+    the window top hi answers every target.  Its fill stops as soon as the
+    first target's bit appears, otherwise it runs to row 1; the hit is the
+    first target in center-out order that the last row filled attains.
+    targets_scanned is the hit's 1-based position in that order, or the
+    window size when nothing hits.
     """
     total = q.total_u
     fam = family_window(total, q.n)
+    check_budget((q.n + 1) * (fam.window[-1] + 1), budget_cells)
+    # total // 2 is always in the window, and first in center-out order
+    probe = center_probe(q.u, total // 2, fam.window[-1])
+    if probe is not None:
+        return FamilyScan(fam, (fam.t_of(total // 2), probe[2]), 1)
     order = sorted(fam.window, key=lambda tau: (abs(2 * tau - total), tau))
     table = ReachTable(q.u, fam.window[-1], budget_cells=budget_cells,
                        early_stop_bit=order[0], window_lo=fam.window[0])

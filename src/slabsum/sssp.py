@@ -293,7 +293,10 @@ def geometry(inst: SsspInstance, eps_b: float | None) -> Geometry:
         eps_b = float(inst.delta) / (8 * b_up)
     if not (math.isfinite(eps_b) and eps_b > 0):
         raise ValueError(f"eps_b must be finite and positive, got {eps_b}")
-    b_count = max(1, math.ceil((b_up - b_lo) / eps_b) + 1)
+    span = (b_up - b_lo) / eps_b
+    if not math.isfinite(span):
+        raise ValueError(f"eps_b {eps_b} is too small: (B_up - B_lo)/eps_b is not finite")
+    b_count = max(1, math.ceil(span) + 1)
     grid_size = b_count
     for g in grids:
         grid_size *= g.count

@@ -5,7 +5,9 @@ band(k) = [max(0, lo - P(k-1)), min(hi, Suf(k))], the sums that can still
 end in the window.  A table over [0, hi] keeps band [0, min(hi, Suf(k))],
 which holds every attainable sum up to the cap: the unbanded rows.  Every
 answer read from a banded table must equal the one the [0, hi] table and
-the per-target scan give, under both row kernels.
+the per-target scan give, under both row kernels.  The [0, hi] reference
+runs with the complement probe off, and the per-target scan goes through
+dp_run, which has none, so both always read a table.
 """
 
 import math
@@ -32,9 +34,15 @@ class FromZero(ReachTable):
         super().__init__(*args, window_lo=0, **kwargs)
 
 
+def no_probe(*args):
+    """center_probe switched off, so solve_family always builds its table."""
+    return None
+
+
 def from_zero_family(q):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dp, "ReachTable", FromZero)
+        patch.setattr(dp, "center_probe", no_probe)
         return solve_family(q)
 
 
@@ -92,6 +100,7 @@ def test_banded_family_matches_unbanded_and_per_target(kernel, monkeypatch):
         banded = dump_verdict(decide(inst, **scale))
         with monkeypatch.context() as patch:
             patch.setattr(dp, "ReachTable", FromZero)
+            patch.setattr(dp, "center_probe", no_probe)
             assert dump_verdict(decide(inst, **scale)) == banded
         with monkeypatch.context() as patch:
             patch.setattr(slab, "solve_family", per_target_family)
@@ -167,7 +176,10 @@ def test_cells_sum_the_band_widths():
 
 @pytest.fixture
 def built(monkeypatch):
-    """The tables dp builds while the test runs."""
+    """The tables dp builds while the test runs, with the complement probe
+    off: these planted targets are ones it answers without a table, and the
+    table built here is the one a probe give-up falls back to."""
+    monkeypatch.setattr(dp, "center_probe", no_probe)
     tables = []
 
     class Recorded(ReachTable):

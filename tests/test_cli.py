@@ -113,6 +113,7 @@ def test_gen_sssp_kind(tmp_path):
     ("--eps-b", "nan", "eps_b must be finite and positive"),
     ("--eps-b", "inf", "eps_b must be finite and positive"),
     ("--eps-b", "0", "eps_b must be finite and positive"),
+    ("--eps-b", "1e-320", "eps_b 1e-320 is too small"),
 ])
 def test_bad_sssp_numbers_are_one_line_usage_errors(tmp_path, capsys, flag, value, message):
     inst_path = tmp_path / "s.json"
