@@ -44,7 +44,7 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
-def _thread_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -60,9 +60,12 @@ _THREADS_HELP = ("accepted for compatibility; a decision runs one table on one "
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part]
+        values = [int(part) for part in text.split(",") if part]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+    if not values:
+        raise argparse.ArgumentTypeError(f"no integer in {text!r}")
+    return values
 
 
 @functools.cache
@@ -90,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     fptas = sub.add_parser("solve-fptas", help="tolerance-driven slab decision")
     fptas.add_argument("--in", dest="in_path", required=True)
     fptas.add_argument("--epsilon", type=_fraction, required=True)
-    fptas.add_argument("--threads", type=_thread_count, default=1, help=_THREADS_HELP)
+    fptas.add_argument("--threads", type=_positive_int, default=1, help=_THREADS_HELP)
     fptas.add_argument("--out")
 
     dec = sub.add_parser("decide-slab", help="two-alternative decision at a fixed scale")
@@ -98,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     scale = dec.add_mutually_exclusive_group(required=True)
     scale.add_argument("--c", type=int)
     scale.add_argument("--big-n", type=int)
-    dec.add_argument("--threads", type=_thread_count, default=1, help=_THREADS_HELP)
+    dec.add_argument("--threads", type=_positive_int, default=1, help=_THREADS_HELP)
     dec.add_argument("--out")
 
     ss = sub.add_parser("solve-sssp", help="simultaneous-constraint grid search")
@@ -116,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     bn = sub.add_parser("bench", help="runtime scaling sweep, CSV output")
     bn.add_argument("--n", type=_int_list, required=True, help="comma list, e.g. 64,128,256")
     bn.add_argument("--c", type=int, default=2)
-    bn.add_argument("--repeats", type=int, default=3)
+    bn.add_argument("--repeats", type=_positive_int, default=3)
     bn.add_argument("--bits", type=int, default=16)
     bn.add_argument("--seed", type=int, default=0)
     bn.add_argument("--out", required=True)
@@ -191,6 +194,8 @@ def _cmd_solve_sssp(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.cap < 0:
+        raise ValueError(f"--cap must be at least 0, got {args.cap}")
     inst = read_instance(args.in_path)
     if not isinstance(inst, PartitionInstance):
         raise ParseError("oracle needs a partition instance")

@@ -28,11 +28,9 @@ band is about half of each row.  The budget still counts full rows,
 Two interchangeable row kernels, which only ReachTable calls, produce the
 same band bits: plain Python ints for narrow rows, and preallocated numpy
 uint64 arrays for wide ones, where avoiding per-op allocation is worth
-roughly an order of magnitude.
-Most words of a wide row soon lie in one run of all-ones words (the dense
-middle interval of many comparable items' sums; Galil & Margalit, SIAM J.
-Comput. 1991), which the numpy kernel tracks and never shifts again, and
-it stores each checkpoint as the slice of its band words alone.
+roughly an order of magnitude.  The numpy kernel shifts only the words of
+each row's band, and it stores each checkpoint as the slice of its band
+words alone.
 
 Before any table, solve_family tries the complement probe on the target
 it looks at first, the center of the window.  Subset sums are symmetric:
@@ -67,13 +65,10 @@ DEFAULT_BUDGET_CELLS = 1 << 34
 
 # rows narrower than this many bits run on Python ints
 ARRAY_KERNEL_MIN_BITS = 1 << 17
-# bands narrower than this many words skip the all-ones run bookkeeping
-RUN_MIN_WORDS = 8192
 # the complement probe's rows are at least 2^12 and at most 1/PROBE_SHARE of
 # the window top bits wide; below that top it is skipped
 PROBE_MIN_BITS = 1 << 12
 PROBE_SHARE = 8
-_ONES = _np.uint64(2**64 - 1)
 
 
 class BudgetError(RuntimeError):
@@ -127,8 +122,6 @@ class _IntKernel:
     def snapshot(row: int, band) -> int:
         return row
 
-    keep = snapshot
-
     @staticmethod
     def bits(row: int, lo: int, hi: int) -> int:
         """Bits lo..hi of row, as an int whose bit 0 is bit lo."""
@@ -141,14 +134,6 @@ class _ArrayKernel:
     A band (L, H) limits every operation to words L>>6 .. H>>6.  The words
     above a row's band are never written, so they read as zero.
 
-    run = (a, b) are words of the rolling row known to be all ones.  An OR
-    into them changes nothing, and for w = 64q + r word j comes out all ones
-    when its source words j-q-1 and j-q lie in the run, so apply shifts only
-    the fringes of the band below and above the run and writes ones on
-    (b, b+q]; the cap word joins a run once its bits up to the cap are set.
-    Words only gain bits, so a run stays one; bands under RUN_MIN_WORDS do
-    not look for one.
-
     A stored row is (first, words), a copy of its band words from word
     first on; words outside the slice read as zero, which a band allows."""
 
@@ -160,34 +145,33 @@ class _ArrayKernel:
         self._carry = _np.zeros(self.words, _np.uint64)
 
     def one(self):
-        self.run = (0, -1)  # no run yet: the rolling row starts as {0}
         row = _np.zeros(self.words, _np.uint64)
         row[0] = 1
         return row
 
     def apply(self, row, w: int, band):
-        """row |= row << w on the words of band = (L, H) bits.  Band bits
-        read only row's bits in [L - w, H]; words outside the band are left
-        as they were, but for ones written below it, which are attainable."""
+        """row |= row << w on the words of band = (L, H) bits, all read
+        before any is written.  Band bits read only row's bits in [L - w, H];
+        words outside the band are left as they were."""
         first, last = band[0] >> 6, band[1] >> 6
         q, r = divmod(w, 64)
         start = max(first, q)  # the lowest word shifted bits land in
         if start > last:
             return row
-        a, b = self.run
-        # (b, top] reads only run words; with no run, or a short one, top = b
-        top = b + q if a + q + (r > 0) <= b + 1 else b
-        # the high fringe first: it reads the old words of (b, top]
-        self._shift_or(row, q, r, max(start, top + 1), last)
-        if top > b:
-            row[b + 1: min(top, last) + 1] = _ONES
-        if a > start:
-            self._shift_or(row, q, r, start, min(a - 1, last))
+        sh = self._sh[: last + 1 - start]
+        src = row[start - q: last + 1 - q]
+        if r == 0:
+            _np.copyto(sh, src)
+        else:
+            _np.left_shift(src, _np.uint64(r), out=sh)
+            c = max(start, q + 1)  # the lowest word carried bits land in
+            if c <= last:
+                carry = self._carry[: last + 1 - c]
+                _np.right_shift(row[c - q - 1: last - q], _np.uint64(64 - r), out=carry)
+                _np.bitwise_or(sh[c - start:], carry, out=sh[c - start:])
+        _np.bitwise_or(row[start: last + 1], sh, out=row[start: last + 1])
         if last == self.words - 1:
             row[last] &= self.top_mask
-        if last + 1 - first >= RUN_MIN_WORDS:
-            self.run = (a, max(b, min(top, last)))
-            self._grow_run(row, first, last)
         return row
 
     @staticmethod
@@ -195,50 +179,11 @@ class _ArrayKernel:
         """Whether the rolling row holds bit."""
         return int(row[bit >> 6]) >> (bit & 63) & 1 == 1
 
-    def _shift_or(self, row, q: int, r: int, lo: int, hi: int) -> None:
-        """row[lo..hi] |= (row << 64q + r)[lo..hi], all read before any is
-        written; lo >= q."""
-        if lo > hi:
-            return
-        sh = self._sh[: hi + 1 - lo]
-        src = row[lo - q: hi + 1 - q]
-        if r == 0:
-            _np.copyto(sh, src)
-        else:
-            _np.left_shift(src, _np.uint64(r), out=sh)
-            c = max(lo, q + 1)  # the lowest word carried bits land in
-            if c <= hi:
-                carry = self._carry[: hi + 1 - c]
-                _np.right_shift(row[c - q - 1: hi - q], _np.uint64(64 - r), out=carry)
-                _np.bitwise_or(sh[c - lo:], carry, out=sh[c - lo:])
-        _np.bitwise_or(row[lo: hi + 1], sh, out=row[lo: hi + 1])
-
-    def _grow_run(self, row, first: int, last: int) -> None:
-        """Extend the run over all-ones words within the band; with no run,
-        start one at the band's middle word."""
-        a, b = self.run
-        if a > b:
-            a = b = (first + last) // 2
-            if row[a] != _ONES:
-                return
-        if b < last and row[b + 1] == _ONES:
-            b += _ones_prefix(row[b + 1: last + 1])
-        if a > first and row[a - 1] == _ONES:
-            a -= _ones_prefix(row[first: a][::-1])
-        self.run = (a, b)
-
     @staticmethod
-    def keep(row, band):
-        """(first, a view of row's band words from word first on); the
-        caller must not write row again."""
-        first, last = band[0] >> 6, band[1] >> 6
-        return first, row[first: last + 1]
-
-    @classmethod
-    def snapshot(cls, row, band):
+    def snapshot(row, band):
         """(first, a copy of row's band words from word first on)."""
-        first, words = cls.keep(row, band)
-        return first, words.copy()
+        first, last = band[0] >> 6, band[1] >> 6
+        return first, row[first: last + 1].copy()
 
     @staticmethod
     def bits(stored, lo: int, hi: int) -> int:
@@ -248,12 +193,6 @@ class _ArrayKernel:
         value = 0 if a > b else int.from_bytes(
             words[a - first: b - first + 1].astype("<u8", copy=False).tobytes(), "little")
         return (value << 64 * (a - (lo >> 6)) >> (lo & 63)) & ((1 << (hi - lo + 1)) - 1)
-
-
-def _ones_prefix(words) -> int:
-    """How many leading words of words are all ones."""
-    full = words == _ONES
-    return len(words) if full.all() else int(full.argmin())
 
 
 def _make_kernel(cap: int):
@@ -324,8 +263,7 @@ class ReachTable:
                 break
         self.rows_done = n - k + 1 if n else 0
         last = self.stopped_at or 1
-        # the rolling row is not written again, so its band words are stored as they are
-        self.checkpoints.setdefault(last, kern.keep(row, band(last)))
+        self.checkpoints.setdefault(last, kern.snapshot(row, band(last)))
         self._cp_keys = sorted(self.checkpoints)
 
     @property

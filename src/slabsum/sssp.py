@@ -411,6 +411,8 @@ def solve(inst: SsspInstance, *, leaf_budget: int = 10_000_000, c: int = 2,
     not given; a caller that sets eps_b or needs the grid size whatever the
     outcome builds it once and passes it.
     """
+    if c < 1:
+        raise ValueError(f"c must be at least 1, got {c}")
     if geo is None:
         geo = geometry(inst, None)
     if geo.grid_size > leaf_budget:

@@ -105,7 +105,7 @@ def test_probe_matches_the_table_path(kernel, monkeypatch):
 
 
 def test_planted_decision_builds_no_table(monkeypatch):
-    # a probe that grows once, and wide numpy rows with all-ones runs on the table path
+    # a probe that grows once, and wide banded numpy rows on the table path
     widths = _probe_calls(monkeypatch)
     for n, seed in ((96, 2), (512, 0)):
         q = quantize(gen_planted(n, 16, seed), big_n=4 * n * n)

@@ -114,6 +114,8 @@ def test_gen_sssp_kind(tmp_path):
     ("--eps-b", "inf", "eps_b must be finite and positive"),
     ("--eps-b", "0", "eps_b must be finite and positive"),
     ("--eps-b", "1e-320", "eps_b 1e-320 is too small"),
+    ("--c", "-1", "c must be at least 1"),
+    ("--c", "0", "c must be at least 1"),
 ])
 def test_bad_sssp_numbers_are_one_line_usage_errors(tmp_path, capsys, flag, value, message):
     inst_path = tmp_path / "s.json"
@@ -122,16 +124,16 @@ def test_bad_sssp_numbers_are_one_line_usage_errors(tmp_path, capsys, flag, valu
         argv = gen + [f"--delta={value}"]
     else:
         assert run(gen) == 0
-        argv = ["solve-sssp", "--in", str(inst_path), f"--eps-b={value}"]
+        argv = ["solve-sssp", "--in", str(inst_path), f"{flag}={value}"]
     capsys.readouterr()
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err, err
     assert err.startswith(f"slabsum: error: {message}"), err
-    assert inst_path.exists() == (flag == "--eps-b")
+    assert inst_path.exists() == (flag != "--delta")
 
 
-def test_usage_errors(tmp_path):
+def test_usage_errors(tmp_path, capsys):
     assert run(["decide-slab", "--in", str(tmp_path / "missing.json"), "--c", "2"]) == 1
     assert run(["no-such-command"]) == 1
     inst_path = tmp_path / "a.json"
@@ -143,6 +145,14 @@ def test_usage_errors(tmp_path):
                     "--threads", bad]) == 1
     assert run(["decide-slab", "--in", str(inst_path), "--c", "2", "--threads", "3",
                 "--out", str(tmp_path / "v.json")]) in (0, 3)
+    capsys.readouterr()
+    assert run(["oracle", "--in", str(inst_path), "--cap", "-1"]) == 1
+    assert capsys.readouterr().err == "slabsum: error: --cap must be at least 0, got -1\n"
+    # sweeps that would measure nothing are refused before any instance is built
+    out = tmp_path / "bench.csv"
+    for bad in (["--n", ","], ["--n", "16,24", "--repeats", "0"]):
+        assert run(["bench", *bad, "--bits", "6", "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_bench_command_smoke(tmp_path, capsys):
