@@ -1,33 +1,41 @@
 #!/usr/bin/env python3
 """One slab decision, whole and split: solve_family against its table's fill and walk.
 
-For planted 16-bit instances at n in {128, 256, 512}, at the scales the
-decide-planted workload uses (N = n^2, `decide-slab --c 2`, and N = 4n^2,
-`solve-fptas --epsilon 1/(4n)`), it times the whole decision,
-`solve_family` (decide_ms), and records the position of its hit
-(targets_scanned).  On a tree with the complement probe, `center_probe`,
-it records on how many seeds the probe answered the decision
-(probe_answered) and the widest row it filled, in bits (probe_width);
-both are null on a tree without one.  Then it builds the table
-solve_family falls back to, times the fill and the walk of the hit's
-witness apart, and records the checkpoints stored, the megabytes of row
-storage the table holds after the walk, and the bits the walk rebuilds
-(rows re-derived times the width of each).  Next to the fill time it
-records a count that does not depend on the machine: the 64-bit words the
-numpy fill shifts (null on Python-int rows), counted on one more, untimed
-fill.  Each time is the median of REPEATS runs, and each figure the median
-over seeds 0..4, but probe_answered, a sum, and probe_width, a maximum.
+Two kinds of input.  Planted 16-bit instances at n in {128, 256, 512}, at
+the scales the decide-planted workload uses (N = n^2, `decide-slab --c 2`,
+and N = 4n^2, `solve-fptas --epsilon 1/(4n)`), where the center target
+hits.  Dominated instances shaped like the decide-empty workload, at n in
+{63, 80, 97} and `decide-slab --c 3`: n - 1 weights in [500, 1500) and one
+near 10^6 at a random index, so every target misses and the decision is
+one full fill.
 
-    PYTHONPATH=src python scripts/bench_decide.py --before 11e8157
+For each it times the whole decision, `solve_family` (decide_ms), and
+records the position of its hit (targets_scanned).  On a tree with the
+complement probe, `center_probe`, it records on how many seeds the probe
+answered the decision (probe_answered) and the widest row it filled, in
+bits (probe_width); both are null on a tree without one.  Then it builds
+the table solve_family falls back to, records its row kernel (`int` or
+`numpy`), times the fill and the walk of the hit's witness apart, and
+records the checkpoints stored, the megabytes of row storage the table
+holds after the walk, and the bits the walk rebuilds (rows re-derived times
+the width of each); the walk columns are null when nothing hits.  Next to
+the fill time it records a count that does not depend on the machine: the
+64-bit words the numpy fill shifts (null on Python-int rows), counted on
+one more, untimed fill.  Each time is the median of REPEATS runs, and each
+figure the median over seeds 0..4, but probe_answered, a sum, probe_width,
+a maximum, and kernel, every kernel the seeds ran.
 
-measures the tree in src/ as "after" and the src/ of git revision 11e8157
+    PYTHONPATH=src python scripts/bench_decide.py --before 15e1e59
+
+measures the tree in src/ as "after" and the src/ of git revision 15e1e59
 as "before" and writes both to BENCH_decide.json (see benchlib.py).  It
 reads only names both trees have, but center_probe, which it looks up: the
-table's stored rows in `checkpoints`, through `kernel.bits`.
+table's kernel, and its stored rows in `checkpoints`, through `kernel.bits`.
 """
 
 from __future__ import annotations
 
+import random
 import statistics
 import sys
 import time
@@ -35,8 +43,17 @@ import time
 import benchlib
 
 SIZES = (128, 256, 512)
+DOMINATED_SIZES = (63, 80, 97)
 SEEDS = range(5)
 REPEATS = 5
+
+
+def dominated_weights(n: int, seed: int) -> tuple[int, ...]:
+    """n - 1 weights in [500, 1500) and one near 10^6 at a random index."""
+    rng = random.Random(seed)
+    weights = [rng.randrange(500, 1500) for _ in range(n - 1)]
+    weights.insert(rng.randrange(n), 10**6 + rng.randrange(1500))
+    return tuple(weights)
 
 
 def walk_bits(table, tau, x) -> int:
@@ -58,40 +75,35 @@ def held_mb(table) -> float:
 
 
 def shifted_words(build):
-    """Words the numpy fill of build() shifts, or None on Python-int rows.
-
-    It wraps the kernel's word-update helper: _shift_or(row, q, r, lo, hi)
-    updates words lo..hi; a tree without it shifts every band word from
-    max(L >> 6, q) up in apply."""
+    """Words the numpy fill of build() shifts, or None on Python-int rows:
+    apply shifts every band word from max(L >> 6, q) up to H >> 6."""
     from slabsum import dp
 
     kern, count = dp._ArrayKernel, 0
-    if hasattr(kern, "_shift_or"):
-        name, words = "_shift_or", lambda row, q, r, lo, hi: hi - lo + 1
-    else:
-        name, words = "apply", lambda row, w, band: (band[1] >> 6) - max(band[0] >> 6, w >> 6) + 1
-    inner = getattr(kern, name)
+    inner = kern.apply
 
-    def counted(self, *args):
+    def counted(self, row, w, band):
         nonlocal count
-        count += max(0, words(*args))
-        return inner(self, *args)
+        count += max(0, (band[1] >> 6) - max(band[0] >> 6, w >> 6) + 1)
+        return inner(self, row, w, band)
 
-    setattr(kern, name, counted)
+    kern.apply = counted
     try:
         table = build()
     finally:
-        setattr(kern, name, inner)
+        kern.apply = inner
     return count if isinstance(table.kernel, kern) else None
 
 
-def measure_case(n: int, big_n: int, seed: int) -> dict:
+def measure_case(kind: str, n: int, big_n: int, seed: int) -> dict:
     from slabsum import dp
     from slabsum.dp import ReachTable, family_window, solve_family
-    from slabsum.instance import gen_planted
+    from slabsum.instance import PartitionInstance, gen_planted
     from slabsum.quantize import quantize
 
-    q = quantize(gen_planted(n, 16, seed), big_n=big_n)
+    inst = (gen_planted(n, 16, seed) if kind == "planted"
+            else PartitionInstance(dominated_weights(n, seed)))
+    q = quantize(inst, big_n=big_n)
     fam = family_window(q.total_u, q.n)
     order = sorted(fam.window, key=lambda tau: (abs(2 * tau - q.total_u), tau))
     decide_ms = []
@@ -111,33 +123,43 @@ def measure_case(n: int, big_n: int, seed: int) -> dict:
         table = build()
         t1 = time.perf_counter()
         tau = order[0] if table.stopped_at is not None else next(
-            t for t in order if table.kernel.bits(table.checkpoints[1], t, t))
-        x = table.witness(tau)
+            (t for t in order if table.kernel.bits(table.checkpoints[1], t, t)), None)
+        x = None if tau is None else table.witness(tau)
         t2 = time.perf_counter()
         fill_ms.append((t1 - t0) * 1e3)
         walk_ms.append((t2 - t1) * 1e3)
-    assert sum(w for w, b in zip(q.u, x) if b) == tau
-    assert scan.hit == (fam.t_of(tau), x)
+    if tau is None:
+        assert scan.hit is None
+    else:
+        assert sum(w for w, b in zip(q.u, x) if b) == tau
+        assert scan.hit == (fam.t_of(tau), x)
     return {"decide_ms": statistics.median(decide_ms), "targets_scanned": scan.targets_scanned,
             "probe_answered": None if probe is None else int(answer is not None),
             "probe_width": None if probe is None else answer[0] if answer else 0,
+            "kernel": "numpy" if isinstance(table.kernel, dp._ArrayKernel) else "int",
             "fill_ms": statistics.median(fill_ms), "fill_words_shifted": shifted_words(build),
-            "walk_ms": statistics.median(walk_ms),
+            "walk_ms": None if tau is None else statistics.median(walk_ms),
             "checkpoints": len(table.checkpoints), "held_mb": held_mb(table),
-            "walk_bits": walk_bits(table, tau, x)}
+            "walk_bits": None if tau is None else walk_bits(table, tau, x)}
+
+
+MERGE = {"probe_answered": sum, "probe_width": max,
+         "kernel": lambda kernels: "+".join(sorted(set(kernels)))}
 
 
 def measure() -> list[dict]:
+    cases = [("planted", n, scale, big_n) for n in SIZES
+             for scale, big_n in (("c=2", n * n), ("N=4n^2", 4 * n * n))]
+    cases += [("dominated", n, "c=3", n ** 3) for n in DOMINATED_SIZES]
     rows = []
-    for n in SIZES:
-        for scale, big_n in (("c=2", n * n), ("N=4n^2", 4 * n * n)):
-            runs = [measure_case(n, big_n, seed) for seed in SEEDS]
-            row = {"n": n, "scale": scale, "big_n": big_n, "seeds": len(runs)}
-            for key in runs[0]:
-                values = [r[key] for r in runs]
-                merge = {"probe_answered": sum, "probe_width": max}.get(key, statistics.median)
-                row[key] = None if None in values else round(merge(values), 3)
-            rows.append(row)
+    for kind, n, scale, big_n in cases:
+        runs = [measure_case(kind, n, big_n, seed) for seed in SEEDS]
+        row = {"kind": kind, "n": n, "scale": scale, "big_n": big_n, "seeds": len(runs)}
+        for key in runs[0]:
+            values = [r[key] for r in runs]
+            value = None if None in values else MERGE.get(key, statistics.median)(values)
+            row[key] = round(value, 3) if isinstance(value, float) else value
+        rows.append(row)
     return rows
 
 

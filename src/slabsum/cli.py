@@ -181,6 +181,8 @@ def _cmd_decide_slab(args) -> int:
 
 
 def _cmd_solve_sssp(args) -> int:
+    if args.leaf_budget < 0:
+        raise ValueError(f"--leaf-budget must be at least 0, got {args.leaf_budget}")
     inst = read_instance(args.in_path)
     if not isinstance(inst, SsspInstance):
         raise ParseError("solve-sssp needs an sssp instance")

@@ -26,11 +26,14 @@ band is about half of each row.  The budget still counts full rows,
 (n+1)*(hi+1) cells, before any row is allocated.
 
 Two interchangeable row kernels, which only ReachTable calls, produce the
-same band bits: plain Python ints for narrow rows, and preallocated numpy
+same band bits: plain Python ints for narrow bands, and preallocated numpy
 uint64 arrays for wide ones, where avoiding per-op allocation is worth
-roughly an order of magnitude.  The numpy kernel shifts only the words of
-each row's band, and it stores each checkpoint as the slice of its band
-words alone.
+roughly an order of magnitude.  The widest band a table fills decides,
+not its cap: when one weight exceeds the window top, no band is wider
+than the other weights' sum plus the window, however high the cap, and
+rows that narrow are faster on Python ints.  The numpy kernel shifts only
+the words of each row's band, and it stores each checkpoint as the slice
+of its band words alone.
 
 Before any table, solve_family tries the complement probe on the target
 it looks at first, the center of the window.  Subset sums are symmetric:
@@ -53,6 +56,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -63,7 +67,7 @@ from .quantize import QuantizedNormal
 BUDGET_ENV = "SLABSUM_BUDGET_CELLS"
 DEFAULT_BUDGET_CELLS = 1 << 34
 
-# rows narrower than this many bits run on Python ints
+# tables whose widest band is narrower than this many bits run on Python ints
 ARRAY_KERNEL_MIN_BITS = 1 << 17
 # the complement probe's rows are at least 2^12 and at most 1/PROBE_SHARE of
 # the window top bits wide; below that top it is skipped
@@ -195,8 +199,11 @@ class _ArrayKernel:
         return (value << 64 * (a - (lo >> 6)) >> (lo & 63)) & ((1 << (hi - lo + 1)) - 1)
 
 
-def _make_kernel(cap: int):
-    if cap + 1 >= ARRAY_KERNEL_MIN_BITS:
+def _make_kernel(cap: int, widest: int):
+    """The row kernel of a table capped at cap whose widest band is widest
+    bits: numpy rows once that band reaches ARRAY_KERNEL_MIN_BITS, Python
+    ints below it, however high the cap."""
+    if widest >= ARRAY_KERNEL_MIN_BITS:
         return _ArrayKernel(cap)
     return _IntKernel(cap)
 
@@ -230,7 +237,8 @@ class ReachTable:
     window bits of the last row filled, and each sigma that witnesses()
     tests in row k+1, which is at least tau - P(k-1).  window_lo = 0 keeps
     every attainable sum up to the cap.  The budget still counts
-    (n+1)*(cap+1).
+    (n+1)*(cap+1).  The widest band, read off the suffix sums before the
+    fill, picks the kernel.
     """
 
     def __init__(self, u: tuple[int, ...], cap: int, *, budget_cells: int | None = None,
@@ -240,12 +248,18 @@ class ReachTable:
         self.u = u
         self.cap = cap
         self.window_lo = window_lo
-        self.kernel = _make_kernel(cap)
         self.stride = max(1, math.isqrt(n))
         self.stopped_at: int | None = None
+        ascending = list(accumulate(reversed(u), initial=0))
         # suf[k] = Suf(k) for k = 1..n+1; suf[0] = Suf(1) stands in for a row 0
-        suffixes = list(accumulate(reversed(u), initial=0))[::-1]
-        self._suf = [suffixes[0], *suffixes]
+        self._suf = [ascending[-1], *reversed(ascending)]
+        # band(k) = [max(0, s - slack), min(cap, s)] for s = Suf(k); its width
+        # never falls as s rises to max(cap, slack) and never rises past it,
+        # so the widest band has one of the two suffix sums around that point
+        slack = ascending[-1] - window_lo
+        i = bisect_right(ascending, max(cap, slack))
+        self.kernel = _make_kernel(cap, max(min(cap, s) - max(0, s - slack) + 1
+                                            for s in ascending[i - 1: i + 1]))
 
         kern = self.kernel
         band = self.band

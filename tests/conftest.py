@@ -5,7 +5,7 @@ from slabsum import dp
 
 @pytest.fixture
 def numpy_rows(monkeypatch):
-    """Force numpy rows at every width: the rows under test are far below
+    """Force numpy rows at every width: the bands under test are far below
     2^17 bits."""
     monkeypatch.setattr(dp, "ARRAY_KERNEL_MIN_BITS", 0)
 

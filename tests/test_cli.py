@@ -116,6 +116,7 @@ def test_gen_sssp_kind(tmp_path):
     ("--eps-b", "1e-320", "eps_b 1e-320 is too small"),
     ("--c", "-1", "c must be at least 1"),
     ("--c", "0", "c must be at least 1"),
+    ("--leaf-budget", "-1", "--leaf-budget must be at least 0"),
 ])
 def test_bad_sssp_numbers_are_one_line_usage_errors(tmp_path, capsys, flag, value, message):
     inst_path = tmp_path / "s.json"

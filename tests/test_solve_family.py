@@ -137,7 +137,7 @@ def test_decide_budget_is_checked_before_allocation(monkeypatch):
     assert (q.n + 1) * (center + 1) < need
     assert per_target_family(q, budget_cells=need - 1).hit is not None
 
-    def no_rows(cap):
+    def no_rows(cap, widest):
         raise AssertionError("a row was allocated past the budget")
 
     monkeypatch.setattr(dp, "_make_kernel", no_rows)
