@@ -14,23 +14,20 @@ records the position of its hit (targets_scanned).  On a tree with the
 complement probe, `center_probe`, it records on how many seeds the probe
 answered the decision (probe_answered) and the widest row it filled, in
 bits (probe_width); both are null on a tree without one.  Then it builds
-the table solve_family falls back to, records its row kernel (`int` or
-`numpy`), times the fill and the walk of the hit's witness apart, and
-records the checkpoints stored, the megabytes of row storage the table
-holds after the walk, and the bits the walk rebuilds (rows re-derived times
-the width of each); the walk columns are null when nothing hits.  Next to
-the fill time it records a count that does not depend on the machine: the
-64-bit words the numpy fill shifts (null on Python-int rows), counted on
-one more, untimed fill.  Each time is the median of REPEATS runs, and each
-figure the median over seeds 0..4, but probe_answered, a sum, probe_width,
-a maximum, and kernel, every kernel the seeds ran.
+the table solve_family falls back to, times the fill and the walk of the
+hit's witness apart, and records the checkpoints stored, the megabytes of
+row storage the table holds after the walk, and the bits the walk rebuilds
+(rows re-derived times the width of each); the walk columns are null when
+nothing hits.  Each time is the median of REPEATS runs, and each figure
+the median over seeds 0..4, but probe_answered, a sum, and probe_width, a
+maximum.
 
     PYTHONPATH=src python scripts/bench_decide.py --before 15e1e59
 
 measures the tree in src/ as "after" and the src/ of git revision 15e1e59
 as "before" and writes both to BENCH_decide.json (see benchlib.py).  It
 reads only names both trees have, but center_probe, which it looks up: the
-table's kernel, and its stored rows in `checkpoints`, through `kernel.bits`.
+table's stored rows in `checkpoints`, and `attained()`.
 """
 
 from __future__ import annotations
@@ -68,31 +65,10 @@ def walk_bits(table, tau, x) -> int:
 
 
 def held_mb(table) -> float:
-    """Megabytes of stored rows: Python ints, whole numpy rows, or
-    (first word, words) band slices."""
+    """Megabytes of stored rows: Python ints, or, on trees with a numpy row
+    kernel, (first word, words) band slices."""
     rows = [r[1] if isinstance(r, tuple) else r for r in table.checkpoints.values()]
     return sum(getattr(r, "nbytes", None) or sys.getsizeof(r) for r in rows) / 2**20
-
-
-def shifted_words(build):
-    """Words the numpy fill of build() shifts, or None on Python-int rows:
-    apply shifts every band word from max(L >> 6, q) up to H >> 6."""
-    from slabsum import dp
-
-    kern, count = dp._ArrayKernel, 0
-    inner = kern.apply
-
-    def counted(self, row, w, band):
-        nonlocal count
-        count += max(0, (band[1] >> 6) - max(band[0] >> 6, w >> 6) + 1)
-        return inner(self, row, w, band)
-
-    kern.apply = counted
-    try:
-        table = build()
-    finally:
-        kern.apply = inner
-    return count if isinstance(table.kernel, kern) else None
 
 
 def measure_case(kind: str, n: int, big_n: int, seed: int) -> dict:
@@ -114,20 +90,19 @@ def measure_case(kind: str, n: int, big_n: int, seed: int) -> dict:
     probe = getattr(dp, "center_probe", None)
     answer = probe(q.u, order[0], fam.window[-1]) if probe else None
 
-    def build():
-        return ReachTable(q.u, fam.window[-1], early_stop_bit=order[0], window_lo=fam.window[0])
-
     fill_ms, walk_ms = [], []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        table = build()
+        table = ReachTable(q.u, fam.window[-1], early_stop_bit=order[0],
+                           window_lo=fam.window[0])
         t1 = time.perf_counter()
-        tau = order[0] if table.stopped_at is not None else next(
-            (t for t in order if table.kernel.bits(table.checkpoints[1], t, t)), None)
-        x = None if tau is None else table.witness(tau)
+        attained = set(table.attained())
+        tau = next((t for t in order if t in attained), None)
         t2 = time.perf_counter()
+        x = None if tau is None else table.witness(tau)
+        t3 = time.perf_counter()
         fill_ms.append((t1 - t0) * 1e3)
-        walk_ms.append((t2 - t1) * 1e3)
+        walk_ms.append((t3 - t2) * 1e3)
     if tau is None:
         assert scan.hit is None
     else:
@@ -136,15 +111,13 @@ def measure_case(kind: str, n: int, big_n: int, seed: int) -> dict:
     return {"decide_ms": statistics.median(decide_ms), "targets_scanned": scan.targets_scanned,
             "probe_answered": None if probe is None else int(answer is not None),
             "probe_width": None if probe is None else answer[0] if answer else 0,
-            "kernel": "numpy" if isinstance(table.kernel, dp._ArrayKernel) else "int",
-            "fill_ms": statistics.median(fill_ms), "fill_words_shifted": shifted_words(build),
+            "fill_ms": statistics.median(fill_ms),
             "walk_ms": None if tau is None else statistics.median(walk_ms),
             "checkpoints": len(table.checkpoints), "held_mb": held_mb(table),
             "walk_bits": None if tau is None else walk_bits(table, tau, x)}
 
 
-MERGE = {"probe_answered": sum, "probe_width": max,
-         "kernel": lambda kernels: "+".join(sorted(set(kernels)))}
+MERGE = {"probe_answered": sum, "probe_width": max}
 
 
 def measure() -> list[dict]:

@@ -25,8 +25,7 @@ whose quantized axis has no zero entry; found counts those seeds.
 
 measures the tree in src/ as "after" and the src/ of git revision 2031eeb
 as "before" and writes both to BENCH_sssp.json (see benchlib.py).  It
-reads only table names both trees have: the stored rows in `checkpoints`,
-through `kernel.bits`.
+reads only table names both trees have: `attained()` and `cells`.
 """
 
 from __future__ import annotations
@@ -122,7 +121,7 @@ def measure_case(inst, w) -> dict:
 
     budget = grid_cardinality(inst)
     full = ReachTable(w, sum(w))
-    attainable = bin(full.kernel.bits(full.checkpoints[1], 0, sum(w))).count("1")
+    attainable = len(full.attained())
     runs = []
     for _ in range(REPEATS):
         stages = Stages()

@@ -4,10 +4,9 @@ One row per (n, repeat): wall time of a complete window scan at scale n^c,
 with the table-cell count as a machine-independent work measure.  The scan
 is the per-target reference, scan_window: one full decision-only DP per
 window target, as the paper states the algorithm, not the one-table
-solve_family that decisions use.  It runs on Python ints at every n, so the
-sweep measures one row kernel throughout.  The fitted log-log slope of
-median wall time against n is the headline number; at c=2 the expected
-exponent is 4.5 (2n+1 targets, each an O(n * N * sqrt(n)) table).
+solve_family that decisions use.  Its rows are Python ints.  The fitted
+log-log slope of median wall time against n is the headline number; at c=2
+the expected exponent is 4.5 (2n+1 targets, each an O(n * N * sqrt(n)) table).
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ def scan_window(q) -> tuple[int, int]:
 
 def run_bench(ns, c: int = 2, repeats: int = 3, bits: int = 16,
               seed: int = 0) -> list[BenchRow]:
-    # untimed warm-up so one-time costs (allocator growth, first numpy calls)
+    # untimed warm-up so one-time costs (allocator growth, first calls)
     # never land inside a measured scan
     _, q_warm = bench_instance(16, 6, seed, c)
     scan_window(q_warm)

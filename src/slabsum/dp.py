@@ -16,24 +16,20 @@ J. Algorithms 1999; Bringmann, SODA 2017).  dp_run answers one target, the
 window [tau, tau], and attainable_witnesses every target of the window its
 caller gives.
 
-Every table is banded by its window [lo, hi]: row k keeps only
-band(k) = [max(0, lo - P(k-1)), min(hi, Suf(k))], P(k-1) the sum of items
-1..k-1 and Suf(k) of items k..n, since a sum outside it can no longer end
-in the window (prefix/suffix bounds, as in Pisinger's pruning).  Band bits
-depend only on the previous row's band bits, and every bit a decision
-reads lies in the band, so answers are unchanged; on planted instances the
-band is about half of each row.  The budget still counts full rows,
-(n+1)*(hi+1) cells, before any row is allocated.
+Every table is banded by its window [lo, hi]: of row k only
+band(k) = [max(0, lo - P(k-1)), min(hi, Suf(k))] can matter, P(k-1) the
+sum of items 1..k-1 and Suf(k) of items k..n, since a sum outside it can no
+longer end in the window (prefix/suffix bounds, as in Pisinger's pruning).
+Band bits depend only on the previous row's band bits, and every bit a
+decision reads lies in the band; on planted instances the band is about
+half of each row.  The budget still counts full rows, (n+1)*(hi+1) cells,
+before any row is allocated.
 
-Two interchangeable row kernels, which only ReachTable calls, produce the
-same band bits: plain Python ints for narrow bands, and preallocated numpy
-uint64 arrays for wide ones, where avoiding per-op allocation is worth
-roughly an order of magnitude.  The widest band a table fills decides,
-not its cap: when one weight exceeds the window top, no band is wider
-than the other weights' sum plus the window, however high the cap, and
-rows that narrow are faster on Python ints.  The numpy kernel shifts only
-the words of each row's band, and it stores each checkpoint as the slice
-of its band words alone.
+Rows are Python ints masked to the cap.  An int is only as long as its top
+set bit, so a row never holds bits above its attainable sums, and a
+checkpoint is the row itself, since ints are immutable.  A row holds every
+attainable sum below its band too, so the band bounds what a decision
+reads, and what `cells` counts, not what the fill computes.
 
 Before any table, solve_family tries the complement probe on the target
 it looks at first, the center of the window.  Subset sums are symmetric:
@@ -56,18 +52,16 @@ from __future__ import annotations
 
 import math
 import os
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-
-import numpy as _np
 
 from .quantize import QuantizedNormal
 
 BUDGET_ENV = "SLABSUM_BUDGET_CELLS"
 DEFAULT_BUDGET_CELLS = 1 << 34
 
-# tables whose widest band is narrower than this many bits run on Python ints
+# read only by the perfbench tracer, whose dp.wide_tables counts the tables
+# at least this many bits wide; it goes with the tracer refresh (ROADMAP 4)
 ARRAY_KERNEL_MIN_BITS = 1 << 17
 # the complement probe's rows are at least 2^12 and at most 1/PROBE_SHARE of
 # the window top bits wide; below that top it is skipped
@@ -86,126 +80,21 @@ class BudgetError(RuntimeError):
 
 def check_budget(cells: int, budget_cells: int | None = None) -> None:
     """Refuse a table of `cells` cells above the budget: budget_cells if
-    given, else $SLABSUM_BUDGET_CELLS, else DEFAULT_BUDGET_CELLS."""
+    given, else $SLABSUM_BUDGET_CELLS, else DEFAULT_BUDGET_CELLS.  A
+    malformed $SLABSUM_BUDGET_CELLS, not an integer or negative, is a
+    ValueError, a usage error rather than a refusal."""
     limit = budget_cells
     if limit is None:
         env = os.environ.get(BUDGET_ENV)
         try:
             limit = int(env) if env else DEFAULT_BUDGET_CELLS
+            if limit < 0:
+                raise ValueError
         except ValueError:
-            raise BudgetError(f"{BUDGET_ENV} must be an integer, got {env!r}") from None
+            raise ValueError(f"{BUDGET_ENV} must be an integer at least 0, got {env!r}") from None
     if cells > limit:
         raise BudgetError(f"reach table needs {cells} cells, budget is {limit}",
                           cells=cells, cap=limit)
-
-
-class _IntKernel:
-    """Rows as Python ints; snapshots are free because ints are immutable.
-
-    An int is only as long as its top set bit, so a row never holds bits
-    above its attainable sums; bits below a band are computed exactly, which
-    a banded table allows.  The band arguments are therefore ignored."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.mask = (1 << (cap + 1)) - 1
-
-    def one(self):
-        return 1
-
-    def apply(self, row: int, w: int, band) -> int:
-        """row | row << w up to the cap; a weight above the cap adds nothing,
-        and skipping it saves building an int w bits wider only to mask it."""
-        return (row | row << w) & self.mask if w <= self.cap else row
-
-    @staticmethod
-    def has(row: int, bit: int) -> bool:
-        return row >> bit & 1 == 1
-
-    @staticmethod
-    def snapshot(row: int, band) -> int:
-        return row
-
-    @staticmethod
-    def bits(row: int, lo: int, hi: int) -> int:
-        """Bits lo..hi of row, as an int whose bit 0 is bit lo."""
-        return (row >> lo) & ((1 << (hi - lo + 1)) - 1)
-
-
-class _ArrayKernel:
-    """Rows as uint64 arrays; shift/or stream through two reused buffers.
-
-    A band (L, H) limits every operation to words L>>6 .. H>>6.  The words
-    above a row's band are never written, so they read as zero.
-
-    A stored row is (first, words), a copy of its band words from word
-    first on; words outside the slice read as zero, which a band allows."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.words = (cap >> 6) + 1
-        self.top_mask = _np.uint64((1 << ((cap & 63) + 1)) - 1)
-        self._sh = _np.zeros(self.words, _np.uint64)
-        self._carry = _np.zeros(self.words, _np.uint64)
-
-    def one(self):
-        row = _np.zeros(self.words, _np.uint64)
-        row[0] = 1
-        return row
-
-    def apply(self, row, w: int, band):
-        """row |= row << w on the words of band = (L, H) bits, all read
-        before any is written.  Band bits read only row's bits in [L - w, H];
-        words outside the band are left as they were."""
-        first, last = band[0] >> 6, band[1] >> 6
-        q, r = divmod(w, 64)
-        start = max(first, q)  # the lowest word shifted bits land in
-        if start > last:
-            return row
-        sh = self._sh[: last + 1 - start]
-        src = row[start - q: last + 1 - q]
-        if r == 0:
-            _np.copyto(sh, src)
-        else:
-            _np.left_shift(src, _np.uint64(r), out=sh)
-            c = max(start, q + 1)  # the lowest word carried bits land in
-            if c <= last:
-                carry = self._carry[: last + 1 - c]
-                _np.right_shift(row[c - q - 1: last - q], _np.uint64(64 - r), out=carry)
-                _np.bitwise_or(sh[c - start:], carry, out=sh[c - start:])
-        _np.bitwise_or(row[start: last + 1], sh, out=row[start: last + 1])
-        if last == self.words - 1:
-            row[last] &= self.top_mask
-        return row
-
-    @staticmethod
-    def has(row, bit: int) -> bool:
-        """Whether the rolling row holds bit."""
-        return int(row[bit >> 6]) >> (bit & 63) & 1 == 1
-
-    @staticmethod
-    def snapshot(row, band):
-        """(first, a copy of row's band words from word first on)."""
-        first, last = band[0] >> 6, band[1] >> 6
-        return first, row[first: last + 1].copy()
-
-    @staticmethod
-    def bits(stored, lo: int, hi: int) -> int:
-        """Bits lo..hi of a stored row, as an int whose bit 0 is bit lo."""
-        first, words = stored
-        a, b = max(lo >> 6, first), min(hi >> 6, first + len(words) - 1)
-        value = 0 if a > b else int.from_bytes(
-            words[a - first: b - first + 1].astype("<u8", copy=False).tobytes(), "little")
-        return (value << 64 * (a - (lo >> 6)) >> (lo & 63)) & ((1 << (hi - lo + 1)) - 1)
-
-
-def _make_kernel(cap: int, widest: int):
-    """The row kernel of a table capped at cap whose widest band is widest
-    bits: numpy rows once that band reaches ARRAY_KERNEL_MIN_BITS, Python
-    ints below it, however high the cap."""
-    if widest >= ARRAY_KERNEL_MIN_BITS:
-        return _ArrayKernel(cap)
-    return _IntKernel(cap)
 
 
 @dataclass(frozen=True)
@@ -221,24 +110,24 @@ class ReachTable:
     """Checkpointed suffix reachability rows for one (items, cap) pair.
 
     Row k is the bit set of sums attainable from items k..n (1-based); row
-    n+1 = {0}.  The table stores row n+1, every stride-th row below it and
-    the last row filled in checkpoints; attained() reads the window off the
-    last row, and witnesses() re-derives the rows between checkpoints on the
-    bits it reads.  Only the kernel knows how a row is stored.
+    n+1 = {0}.  Rows are Python ints masked to [0, cap].  The table stores
+    row n+1, every stride-th row below it and the last row filled in
+    checkpoints; attained() reads the window off the last row, and
+    witnesses() re-derives the rows between checkpoints on the bits it reads.
 
     The table is banded by its window [window_lo, cap]: only sums that can
-    still end in the window are kept.  Row k then needs only its bits in
+    still end in the window matter.  Row k then needs only its bits in
     band(k) = [max(0, window_lo - P(k-1)), min(cap, Suf(k))], where P(k-1)
     sums items 1..k-1 and Suf(k) items k..n.  Band bits of row k depend only
     on band bits of row k+1, since the low end drops by at most u_k from one
-    row to the next; a bit above the band is zero (no subset of items k..n
-    reaches it, or it lies above the cap), and bits below the band may hold
-    stale values.  Every bit a window decision reads is in the band: the
-    window bits of the last row filled, and each sigma that witnesses()
-    tests in row k+1, which is at least tau - P(k-1).  window_lo = 0 keeps
-    every attainable sum up to the cap.  The budget still counts
-    (n+1)*(cap+1).  The widest band, read off the suffix sums before the
-    fill, picks the kernel.
+    row to the next, and a bit above the band is zero (no subset of items
+    k..n reaches it, or it lies above the cap).  An int row also holds every
+    bit below its band, exactly, so the band bounds what a decision reads,
+    not what the fill computes.  Every bit a window decision reads is in the
+    band: the window bits of the last row filled, and each sigma that
+    witnesses() tests in row k+1, which is at least tau - P(k-1).
+    window_lo = 0 keeps every attainable sum up to the cap.  The budget
+    counts (n+1)*(cap+1).
     """
 
     def __init__(self, u: tuple[int, ...], cap: int, *, budget_cells: int | None = None,
@@ -253,42 +142,39 @@ class ReachTable:
         ascending = list(accumulate(reversed(u), initial=0))
         # suf[k] = Suf(k) for k = 1..n+1; suf[0] = Suf(1) stands in for a row 0
         self._suf = [ascending[-1], *reversed(ascending)]
-        # band(k) = [max(0, s - slack), min(cap, s)] for s = Suf(k); its width
-        # never falls as s rises to max(cap, slack) and never rises past it,
-        # so the widest band has one of the two suffix sums around that point
-        slack = ascending[-1] - window_lo
-        i = bisect_right(ascending, max(cap, slack))
-        self.kernel = _make_kernel(cap, max(min(cap, s) - max(0, s - slack) + 1
-                                            for s in ascending[i - 1: i + 1]))
 
-        kern = self.kernel
-        band = self.band
-        row = kern.one()
-        self.checkpoints = {n + 1: kern.snapshot(row, band(n + 1))}
+        mask = (1 << (cap + 1)) - 1
+        row = 1
+        self.checkpoints = {n + 1: row}
         next_cp = n + 1 - self.stride
         k = 1
         for k in range(n, 0, -1):
-            row = kern.apply(row, u[k - 1], band(k))
+            w = u[k - 1]
+            # a weight above the cap adds nothing; skipping it saves building
+            # an int w bits wider only to mask it
+            if w <= cap:
+                row = (row | row << w) & mask
             if k == next_cp:
-                self.checkpoints[k] = kern.snapshot(row, band(k))
+                self.checkpoints[k] = row
                 next_cp -= self.stride
-            if early_stop_bit is not None and kern.has(row, early_stop_bit):
+            if early_stop_bit is not None and row >> early_stop_bit & 1:
                 self.stopped_at = k
                 break
         self.rows_done = n - k + 1 if n else 0
-        last = self.stopped_at or 1
-        self.checkpoints.setdefault(last, kern.snapshot(row, band(last)))
+        self.checkpoints.setdefault(self.stopped_at or 1, row)
         self._cp_keys = sorted(self.checkpoints)
 
     @property
     def cells(self) -> int:
-        """Summed band width of the rows filled."""
+        """Summed band width of the rows filled: the bits a decision reads
+        from, not the bits below the bands that the int rows hold too."""
         n = len(self.u)
         return sum(max(0, hi - lo + 1)
                    for lo, hi in map(self.band, range(n - self.rows_done + 1, n + 1)))
 
     def band(self, k: int) -> tuple[int, int]:
-        """The bits [L, H] of row k that this table keeps."""
+        """The bits [L, H] of row k that a decision on this table can read;
+        the int row holds its bits below L as well."""
         suf = self._suf[k]
         return max(0, self.window_lo - self._suf[1] + suf), min(self.cap, suf)
 
@@ -296,7 +182,7 @@ class ReachTable:
         """The window targets [window_lo, cap] that the last row filled
         (stopped_at, else 1) holds, ascending, read as one slice of it."""
         lo = self.window_lo
-        bits = self.kernel.bits(self.checkpoints[self.stopped_at or 1], lo, self.cap)
+        bits = self.checkpoints[self.stopped_at or 1] >> lo
         return [lo + i for i, bit in enumerate(reversed(f"{bits:b}")) if bit == "1"]
 
     def witness(self, tau: int) -> tuple[int, ...]:
@@ -327,7 +213,7 @@ class ReachTable:
             hi = max(sigmas)
             lo = max(0, min(sigmas) - sum(u[k - 1: cp - 1]))
             mask = (1 << (hi - lo + 1)) - 1
-            rows = [self.kernel.bits(self.checkpoints[cp], lo, hi)]
+            rows = [self.checkpoints[cp] >> lo & mask]
             for j in range(cp - 1, k, -1):
                 rows.append((rows[-1] | rows[-1] << u[j - 1]) & mask)
             for row in reversed(rows):

@@ -5,7 +5,7 @@ band(k) = [max(0, lo - P(k-1)), min(hi, Suf(k))], the sums that can still
 end in the window.  A table over [0, hi] keeps band [0, min(hi, Suf(k))],
 which holds every attainable sum up to the cap: the unbanded rows.  Every
 answer read from a banded table must equal the one the [0, hi] table and
-the per-target scan give, under both row kernels.  The [0, hi] reference
+the per-target scan give.  The [0, hi] reference
 runs with the complement probe off, and the per-target scan goes through
 dp_run, which has none, so both always read a table.
 """
@@ -87,7 +87,7 @@ CASES = _seeded_cases(240) + [(PartitionInstance(SLOT_REUSE_U),
                                {"big_n": exact_scale(SLOT_REUSE_U)})]
 
 
-def test_banded_family_matches_unbanded_and_per_target(kernel, monkeypatch):
+def test_banded_family_matches_unbanded_and_per_target(monkeypatch):
     hits = full_fills = 0
     for inst, scale in CASES:
         q = quantize(inst, **scale)
@@ -125,7 +125,12 @@ def _random_items(count: int):
                              for _ in range(count)]
 
 
-def test_band_bits_equal_unbanded_rows_and_zero_above(kernel):
+def bits(row: int, lo: int, hi: int) -> int:
+    """Bits lo..hi of a stored row, as an int whose bit 0 is bit lo."""
+    return row >> lo & ((1 << (hi - lo + 1)) - 1)
+
+
+def test_band_bits_equal_unbanded_rows_and_zero_above():
     for u in _random_items(60):
         banded, full, _ = _tables(u)
         # the stored rows: row n+1, the checkpoints and row 1
@@ -133,13 +138,12 @@ def test_band_bits_equal_unbanded_rows_and_zero_above(kernel):
         for k in banded.checkpoints:
             lo, hi = banded.band(k)
             top = banded.band(k - 1)[1] if k > 1 else hi
-            bits = banded.kernel.bits
             # bits above hi, up to the next row's band top, read as zero
             want = bits(full.checkpoints[k], lo, hi)
             assert bits(banded.checkpoints[k], lo, top) == want, (u, k)
 
 
-def test_banded_witnesses_of_every_window_target(kernel):
+def test_banded_witnesses_of_every_window_target():
     for u in _random_items(60):
         banded, full, fam = _tables(u)
         taus = banded.attained()
@@ -147,7 +151,7 @@ def test_banded_witnesses_of_every_window_target(kernel):
         assert banded.witnesses(taus) == full.witnesses(taus), u
 
 
-def test_slot_reuse_regression(numpy_rows):
+def test_slot_reuse_regression():
     inst = PartitionInstance(SLOT_REUSE_U)
     q = quantize(inst, big_n=exact_scale(SLOT_REUSE_U))
     assert q.u == SLOT_REUSE_U

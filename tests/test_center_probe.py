@@ -5,9 +5,9 @@ Python-int rows, using the symmetry "tau is in row k iff Suf(k) - tau is",
 and builds a table only when the probe is skipped, gives up or misses.
 With the probe switched off it runs the table path alone, which is the
 reference here: both must give the same hit, witness and targets_scanned,
-under both row kernels, and the probe's stop row must be the table's
-stopped_at.  dp_run, which builds its table directly, and the probe are
-also checked against the Gray-code oracle at small n.
+and the probe's stop row must be the table's stopped_at.  dp_run, which
+builds its table directly, and the probe are also checked against the
+Gray-code oracle at small n.
 """
 
 import random
@@ -72,7 +72,7 @@ def _probe_calls(monkeypatch):
     return widths
 
 
-def test_probe_matches_the_table_path(kernel, monkeypatch):
+def test_probe_matches_the_table_path(monkeypatch):
     # these window tops are below 8 * 2^12, where the probe is skipped; a
     # least width of 8 bits and a cap of half the top let it run on them,
     # and give up on some
@@ -105,7 +105,7 @@ def test_probe_matches_the_table_path(kernel, monkeypatch):
 
 
 def test_planted_decision_builds_no_table(monkeypatch):
-    # a probe that grows once, and wide banded numpy rows on the table path
+    # a probe that grows once, and wide rows on the table path
     widths = _probe_calls(monkeypatch)
     for n, seed in ((96, 2), (512, 0)):
         q = quantize(gen_planted(n, 16, seed), big_n=4 * n * n)
@@ -175,7 +175,7 @@ def lex_smallest(u, tau):
     return min(xs) if xs else None
 
 
-def test_dp_run_and_the_probe_match_the_gray_code_oracle(kernel):
+def test_dp_run_and_the_probe_match_the_gray_code_oracle():
     rng = random.Random(11)
     for _ in range(40):
         n = rng.randint(1, 9)

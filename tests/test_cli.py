@@ -82,6 +82,25 @@ def test_budget_exit_code(tmp_path, monkeypatch):
     assert run(["decide-slab", "--in", str(p), "--c", "2"]) == 2
 
 
+@pytest.mark.parametrize("value", ["abc", "-5", "1.5"])
+def test_malformed_budget_env_is_a_one_line_usage_error(tmp_path, monkeypatch, capsys, value):
+    p = tmp_path / "b.json"
+    write_instance(p, gen_planted(12, 8, seed=0))
+    monkeypatch.setenv("SLABSUM_BUDGET_CELLS", value)
+    assert run(["decide-slab", "--in", str(p), "--c", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("slabsum: error: SLABSUM_BUDGET_CELLS must be an integer at least 0, "
+                   f"got {value!r}\n"), err
+
+
+def test_cli_import_leaves_numpy_out():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, slabsum.cli; print('numpy' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "False\n"
+
+
 def test_solve_sssp_command(tmp_path):
     base = gen_planted(12, 2, seed=5)
     inst = SsspInstance((base.weights, base.weights), rho=Fraction(10),

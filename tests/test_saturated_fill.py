@@ -1,11 +1,9 @@
-"""The banded numpy fill, against a naive suffix recurrence.
+"""The banded table fill, against a naive suffix recurrence.
 
-_ArrayKernel.apply shifts only the words of each row's band, whole words
-and carries apart.  Here the kernel threshold is 0, so every table runs on
-numpy rows, dense saturated ones among them.  Each stored row must equal the
-Python-int recurrence on its band bits and on every bit above the band (bits
-below a band may hold any attainable subset), and stopped_at and the witness
-of every attainable window target must match too.
+Tables over whole rows and over narrow windows, full fills and early stops,
+dense saturated rows among them.  Each stored row must equal the recurrence
+bit for bit, the bits below its band included, and stopped_at and the
+witness of every attainable window target must match too.
 """
 
 import random
@@ -35,7 +33,7 @@ def items(rng, kind):
         u = [rng.randrange(5, 40) for _ in range(n)]
         u[rng.randrange(n)] = 40 * n + rng.randrange(3000)
         return u
-    # whole words (r = 0) and carries, with small items that saturate rows
+    # weights at and around 64-bit word edges, with small items that saturate rows
     return [rng.choice(EDGE_WEIGHTS) if rng.random() < 0.5 else rng.randint(1, 24)
             for _ in range(n)]
 
@@ -44,7 +42,7 @@ def table_cases(rng, u):
     """(cap, window_lo, stop) for tables over [0, cap] and over narrower
     windows, full fills and early stops inside the window.  Narrower windows
     are at most 2n+1 wide, like a decision's, and some are clamped at 0 or
-    end at the cap word."""
+    end at the cap."""
     total, width = sum(u), 2 * len(u)
     hi = rng.randint(0, rng.choice((total, width)))
     lo = max(0, hi - rng.randint(0, width))
@@ -56,7 +54,7 @@ def table_cases(rng, u):
     yield total, max(0, total - width), total
 
 
-def test_stored_rows_stops_and_witnesses_match_the_recurrence(numpy_rows):
+def test_stored_rows_stops_and_witnesses_match_the_recurrence():
     seen = {"tables": 0, "stopped": 0, "banded": 0, "clamped": 0}
     for seed in range(2000):
         rng = random.Random(seed)
@@ -68,10 +66,8 @@ def test_stored_rows_stops_and_witnesses_match_the_recurrence(numpy_rows):
             want_stop = None if stop is None else next(
                 (k for k in range(len(u), 0, -1) if ref[k] >> stop & 1), None)
             assert table.stopped_at == want_stop, case
-            top = 64 * table.kernel.words - 1  # every bit of the cap word
             for k, row in table.checkpoints.items():
-                low = table.band(k)[0]
-                assert table.kernel.bits(row, low, top) == ref[k] >> low, (case, k)
+                assert row == ref[k], (case, k)
             last = table.stopped_at or 1
             window = range(max(lo, cap - 2 * len(u)), cap + 1)
             taus = [tau for tau in window if ref[last] >> tau & 1]

@@ -4,7 +4,7 @@ solve_family answers every target of the shifted window from one
 ReachTable.  The reference below runs one early-stopped DP per target in
 center-out order and stops at the first hit, which is how decisions were
 made before; both must agree on the hit, its witness, the scan position and
-the verdict bytes, under both row kernels.
+the verdict bytes.
 """
 
 import math
@@ -77,14 +77,6 @@ def _edge_cases():
 CASES = _seeded_cases(300) + _edge_cases()
 
 
-@pytest.fixture(params=["int", "array"])
-def kernel(request, monkeypatch):
-    # every row here is far below 2^17 bits; a zero threshold forces numpy rows
-    if request.param == "array":
-        monkeypatch.setattr(dp, "ARRAY_KERNEL_MIN_BITS", 0)
-    return request.param
-
-
 def test_edge_cases_reach_the_clamps():
     windows = [family_window(quantize(inst, **scale).total_u, inst.n)
                for inst, scale in _edge_cases()]
@@ -93,7 +85,7 @@ def test_edge_cases_reach_the_clamps():
     assert any(w.total == 1 for w in windows)
 
 
-def test_one_table_matches_per_target_reference(kernel, monkeypatch):
+def test_one_table_matches_per_target_reference(monkeypatch):
     assert len(CASES) >= 300
     hits = 0
     for inst, scale in CASES:
@@ -137,11 +129,41 @@ def test_decide_budget_is_checked_before_allocation(monkeypatch):
     assert (q.n + 1) * (center + 1) < need
     assert per_target_family(q, budget_cells=need - 1).hit is not None
 
-    def no_rows(cap, widest):
+    def no_rows(*args, **kwargs):
         raise AssertionError("a row was allocated past the budget")
 
-    monkeypatch.setattr(dp, "_make_kernel", no_rows)
+    monkeypatch.setattr(dp, "ReachTable", no_rows)
+    monkeypatch.setattr(dp, "center_probe", no_rows)
     with pytest.raises(BudgetError) as err:
         decide(inst, c=2, budget_cells=need - 1)
     assert err.value.cells == need
     assert err.value.cap == need - 1
+
+
+def _wide_cap_cases():
+    """n = 47..97 at c = 3: n - 1 weights in [500, 1500) and one more, either
+    near 10^6, so every target misses, or equal to the others' sum, so that
+    weight alone is near the center and, with enough weight on each side of
+    it, the table rather than the complement probe finds the hit.  Most
+    window tops are 2^17 bits or more, and every row band far narrower."""
+    cases = []
+    for seed in range(90):
+        n = random.Random(seed).randint(47, 97)
+        rng = random.Random(seed)
+        weights = [rng.randrange(500, 1500) for _ in range(n - 1)]
+        at = rng.randrange(n)
+        weights.insert(at, 10**6 + rng.randrange(1500) if seed % 3 == 0 else sum(weights))
+        cases.append(quantize(PartitionInstance(tuple(weights)), c=3))
+    return cases
+
+
+def test_wide_cap_inputs_match_per_target_reference():
+    cases = _wide_cap_cases()
+    got = [solve_family(q) for q in cases]
+    assert got == [per_target_family(q) for q in cases]
+    tops = [family_window(q.total_u, q.n).window[-1] for q in cases]
+    assert sum(top >= 1 << 17 for top in tops) >= 20
+    # misses, and hits the table finds after the probe declines
+    assert any(scan.hit is None for scan in got)
+    assert any(scan.hit is not None and dp.center_probe(q.u, q.total_u // 2, top) is None
+               for scan, q, top in zip(got, cases, tops))

@@ -5,14 +5,13 @@ block between checkpoints on the slice of bits the walk can read there.
 The reference below keeps every suffix row whole, with no checkpoint and no
 band, and walks them.  Both must give the same witness for every target, on
 tables over a decision's window, over [tau, tau] and over [0, cap],
-early-stopped and full fills, under both row kernels.
+early-stopped and full fills.
 """
 
 import random
 
 import pytest
 
-from slabsum import dp
 from slabsum.dp import ReachTable, family_window
 from slabsum.instance import gen_planted
 from slabsum.quantize import quantize
@@ -48,7 +47,7 @@ def slices(table, tau, x):
         tau -= sum(w for w, b in zip(table.u[k - 1: cp - 1], x[k - 1: cp - 1]) if b)
 
 
-def test_walk_matches_reference_on_seeded_instances(kernel):
+def test_walk_matches_reference_on_seeded_instances():
     seen = {"stopped": 0, "full": 0, "clamped": 0, "word_edge": 0}
     for inst, scale in CASES:
         q = quantize(inst, **scale)
@@ -80,7 +79,7 @@ def test_walk_matches_reference_on_seeded_instances(kernel):
     assert all(seen.values()), seen
 
 
-def test_every_target_of_word_edge_items(kernel):
+def test_every_target_of_word_edge_items():
     # sums straddling 64-bit word edges, so slices start and end mid-word
     rng = random.Random(11)
     for _ in range(40):
@@ -95,7 +94,7 @@ def test_every_target_of_word_edge_items(kernel):
         assert banded.witnesses(taus) == reference_witnesses(u, taus), u
 
 
-def test_slot_reuse_items_every_target(kernel):
+def test_slot_reuse_items_every_target():
     fam = family_window(sum(SLOT_REUSE_U), len(SLOT_REUSE_U))
     for lo in (0, fam.window[0]):
         table = ReachTable(SLOT_REUSE_U, fam.window[-1], window_lo=lo)
@@ -107,11 +106,11 @@ def test_slot_reuse_items_every_target(kernel):
 @pytest.mark.parametrize("n, scale, seed", [
     (256, 2, 0), (256, 2, 1), (256, 4, 0), (256, 4, 1), (512, 2, 0), (512, 4, 0)])
 def test_planted_decisions_on_numpy_rows(n, scale, seed):
+    # the name predates int-only rows: these are rows of 2^17 bits and wider;
     # scale 2 is N = n^2 (decide-slab --c 2), scale 4 is N = 4n^2 (solve-fptas)
     q = quantize(gen_planted(n, 16, seed), big_n=scale * n * n)
     fam = family_window(q.total_u, q.n)
     first = min(fam.window, key=lambda tau: (abs(2 * tau - q.total_u), tau))
     table = ReachTable(q.u, fam.window[-1], early_stop_bit=first, window_lo=fam.window[0])
-    assert isinstance(table.kernel, dp._ArrayKernel)
     assert table.stopped_at is not None
     assert [table.witness(first)] == reference_witnesses(q.u, [first], stop_at=first)
