@@ -87,7 +87,7 @@ CASES = _seeded_cases(240) + [(PartitionInstance(SLOT_REUSE_U),
                                {"big_n": exact_scale(SLOT_REUSE_U)})]
 
 
-def test_banded_family_matches_unbanded_and_per_target(monkeypatch):
+def test_banded_family_matches_unbanded_and_per_target(rows, monkeypatch):
     hits = full_fills = 0
     for inst, scale in CASES:
         q = quantize(inst, **scale)
@@ -130,7 +130,7 @@ def bits(row: int, lo: int, hi: int) -> int:
     return row >> lo & ((1 << (hi - lo + 1)) - 1)
 
 
-def test_band_bits_equal_unbanded_rows_and_zero_above():
+def test_band_bits_equal_unbanded_rows_and_zero_above(rows):
     for u in _random_items(60):
         banded, full, _ = _tables(u)
         # the stored rows: row n+1, the checkpoints and row 1
@@ -143,7 +143,7 @@ def test_band_bits_equal_unbanded_rows_and_zero_above():
             assert bits(banded.checkpoints[k], lo, top) == want, (u, k)
 
 
-def test_banded_witnesses_of_every_window_target():
+def test_banded_witnesses_of_every_window_target(rows):
     for u in _random_items(60):
         banded, full, fam = _tables(u)
         taus = banded.attained()

@@ -72,7 +72,7 @@ def _probe_calls(monkeypatch):
     return widths
 
 
-def test_probe_matches_the_table_path(monkeypatch):
+def test_probe_matches_the_table_path(rows, monkeypatch):
     # these window tops are below 8 * 2^12, where the probe is skipped; a
     # least width of 8 bits and a cap of half the top let it run on them,
     # and give up on some
@@ -175,7 +175,7 @@ def lex_smallest(u, tau):
     return min(xs) if xs else None
 
 
-def test_dp_run_and_the_probe_match_the_gray_code_oracle():
+def test_dp_run_and_the_probe_match_the_gray_code_oracle(rows):
     rng = random.Random(11)
     for _ in range(40):
         n = rng.randint(1, 9)

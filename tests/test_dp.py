@@ -36,7 +36,7 @@ def test_recurrence_row_by_row():
         assert got == expect[k]
 
 
-def test_agrees_with_enumeration_on_all_targets():
+def test_agrees_with_enumeration_on_all_targets(rows):
     rng = random.Random(0)
     u = [rng.randrange(1, 257) for _ in range(16)]
     sums = all_subset_sums(u)
@@ -120,7 +120,7 @@ def test_solve_family_symmetric_half_target():
     assert sum(x) == 2
 
 
-def test_early_stop_and_full_rows_agree():
+def test_early_stop_and_full_rows_agree(rows):
     rng = random.Random(5)
     u = tuple(rng.randrange(1, 64) for _ in range(12))
     for tau in range(0, sum(u) + 1, 7):
@@ -143,7 +143,7 @@ def test_decision_scan_budget_error(monkeypatch):
     assert err.value.cells == (q.n + 1) * (family_window(q.total_u, q.n).window[-1] + 1)
 
 
-def test_word_boundary_widths():
+def test_word_boundary_widths(rows):
     # targets straddling 64-bit word edges exercise the carry logic
     u = [63, 64, 65, 1]
     sums = all_subset_sums(u)

@@ -85,7 +85,7 @@ def test_edge_cases_reach_the_clamps():
     assert any(w.total == 1 for w in windows)
 
 
-def test_one_table_matches_per_target_reference(monkeypatch):
+def test_one_table_matches_per_target_reference(rows, monkeypatch):
     assert len(CASES) >= 300
     hits = 0
     for inst, scale in CASES:

@@ -47,7 +47,7 @@ def slices(table, tau, x):
         tau -= sum(w for w, b in zip(table.u[k - 1: cp - 1], x[k - 1: cp - 1]) if b)
 
 
-def test_walk_matches_reference_on_seeded_instances():
+def test_walk_matches_reference_on_seeded_instances(rows):
     seen = {"stopped": 0, "full": 0, "clamped": 0, "word_edge": 0}
     for inst, scale in CASES:
         q = quantize(inst, **scale)
@@ -79,7 +79,7 @@ def test_walk_matches_reference_on_seeded_instances():
     assert all(seen.values()), seen
 
 
-def test_every_target_of_word_edge_items():
+def test_every_target_of_word_edge_items(rows):
     # sums straddling 64-bit word edges, so slices start and end mid-word
     rng = random.Random(11)
     for _ in range(40):
@@ -94,7 +94,7 @@ def test_every_target_of_word_edge_items():
         assert banded.witnesses(taus) == reference_witnesses(u, taus), u
 
 
-def test_slot_reuse_items_every_target():
+def test_slot_reuse_items_every_target(rows):
     fam = family_window(sum(SLOT_REUSE_U), len(SLOT_REUSE_U))
     for lo in (0, fam.window[0]):
         table = ReachTable(SLOT_REUSE_U, fam.window[-1], window_lo=lo)
