@@ -10,7 +10,10 @@ near 10^6 at a random index, so every target misses and the decision is
 one full fill.
 
 For each it times the whole decision, `solve_family` (decide_ms), and
-records the position of its hit (targets_scanned).  On a tree with the
+records the position of its hit (targets_scanned).  It times the steps the
+CLI runs around that decision too: `read_instance` of the instance file
+(read_ms), `quantize` (quantize_ms), and `dumps_json` of the verdict as
+`decide-slab` writes it (emit_ms).  On a tree with the
 complement probe, `center_probe`, it records on how many seeds the probe
 answered the decision (probe_answered) and the widest row it filled, in
 bits (probe_width); both are null on a tree without one.  Then it builds
@@ -35,7 +38,9 @@ from __future__ import annotations
 import random
 import statistics
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import benchlib
 
@@ -71,22 +76,35 @@ def held_mb(table) -> float:
     return sum(getattr(r, "nbytes", None) or sys.getsizeof(r) for r in rows) / 2**20
 
 
+def median_ms(call):
+    """The median time of REPEATS calls, in ms, and the last call's result."""
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        result = call()
+        times.append((time.perf_counter() - t0) * 1e3)
+    return statistics.median(times), result
+
+
 def measure_case(kind: str, n: int, big_n: int, seed: int) -> dict:
-    from slabsum import dp
+    from slabsum import dp, slab
     from slabsum.dp import ReachTable, family_window, solve_family
-    from slabsum.instance import PartitionInstance, gen_planted
+    from slabsum.instance import (PartitionInstance, dumps_json, gen_planted, read_instance,
+                                  write_instance)
     from slabsum.quantize import quantize
 
     inst = (gen_planted(n, 16, seed) if kind == "planted"
             else PartitionInstance(dominated_weights(n, seed)))
-    q = quantize(inst, big_n=big_n)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.json"
+        write_instance(path, inst)
+        read_ms, _ = median_ms(lambda: read_instance(path))
+    quantize_ms, q = median_ms(lambda: quantize(inst, big_n=big_n))
+    verdict = slab.decide(inst, big_n=big_n)
+    emit_ms, _ = median_ms(lambda: dumps_json(slab.verdict_to_json(verdict)))
     fam = family_window(q.total_u, q.n)
     order = sorted(fam.window, key=lambda tau: (abs(2 * tau - q.total_u), tau))
-    decide_ms = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        scan = solve_family(q)
-        decide_ms.append((time.perf_counter() - t0) * 1e3)
+    decide_ms, scan = median_ms(lambda: solve_family(q))
     probe = getattr(dp, "center_probe", None)
     answer = probe(q.u, order[0], fam.window[-1]) if probe else None
 
@@ -108,7 +126,8 @@ def measure_case(kind: str, n: int, big_n: int, seed: int) -> dict:
     else:
         assert sum(w for w, b in zip(q.u, x) if b) == tau
         assert scan.hit == (fam.t_of(tau), x)
-    return {"decide_ms": statistics.median(decide_ms), "targets_scanned": scan.targets_scanned,
+    return {"read_ms": read_ms, "quantize_ms": quantize_ms, "decide_ms": decide_ms,
+            "emit_ms": emit_ms, "targets_scanned": scan.targets_scanned,
             "probe_answered": None if probe is None else int(answer is not None),
             "probe_width": None if probe is None else answer[0] if answer else 0,
             "fill_ms": statistics.median(fill_ms),

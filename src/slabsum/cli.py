@@ -128,6 +128,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
+    # a file holds each weight in decimal, and int() converts at most
+    # get_int_max_str_digits() digits (0: no limit)
+    digits = sys.get_int_max_str_digits()
+    max_bits = (10 ** digits).bit_length() - 1
+    if digits and args.bits > max_bits:
+        raise ValueError(f"--bits {args.bits} is above {max_bits}, the widest weight "
+                         f"within the {digits}-digit limit")
     if args.kind == "sssp":
         inst = gen_sssp_random(args.n, args.bits, args.p, args.seed,
                                rho=args.rho, delta=args.delta,

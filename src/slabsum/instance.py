@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _json_str
+from operator import mul
 from pathlib import Path
 
 
@@ -21,14 +24,16 @@ class ParseError(ValueError):
 def _checked_weights(weights, m: int | None, name: str) -> tuple[int, ...]:
     """weights as a nonempty tuple of ints, each at least 1 and, when m is
     given, at most m bits wide; an error names the entry as name[i]."""
-    weights = tuple(int(w) for w in weights)
+    weights = tuple(map(int, weights))
     if not weights:
         raise ValueError(f"{name}: need at least one weight")
-    for i, w in enumerate(weights):
-        if w < 1:
-            raise ValueError(f"{name}[{i}] = {w} must be >= 1")
-        if m is not None and w.bit_length() > m:
-            raise ValueError(f"{name}[{i}] = {w} exceeds {m} bits")
+    if min(weights) < 1 or m is not None and max(weights).bit_length() > m:
+        # only to name the first entry at fault
+        for i, w in enumerate(weights):
+            if w < 1:
+                raise ValueError(f"{name}[{i}] = {w} must be >= 1")
+            if m is not None and w.bit_length() > m:
+                raise ValueError(f"{name}[{i}] = {w} exceeds {m} bits")
     return weights
 
 
@@ -36,10 +41,10 @@ def _checked_planted(planted_x, n: int) -> tuple[int, ...] | None:
     """planted_x as a tuple of n entries, each 0 or 1; None stays None."""
     if planted_x is None:
         return None
-    planted_x = tuple(int(b) for b in planted_x)
+    planted_x = tuple(map(int, planted_x))
     if len(planted_x) != n:
         raise ValueError("planted_x length mismatch")
-    if any(b not in (0, 1) for b in planted_x):
+    if not set(planted_x) <= {0, 1}:
         raise ValueError("planted_x must be 0/1")
     return planted_x
 
@@ -94,7 +99,7 @@ class PartitionInstance:
 
     @property
     def norm_sq(self) -> int:
-        return sum(w * w for w in self.weights)
+        return sum(map(mul, self.weights, self.weights))
 
 
 @dataclass(frozen=True)
@@ -234,7 +239,24 @@ def _int_str(value, where: str) -> int:
     try:
         return int(value, 10)
     except ValueError:  # more digits than int() converts
-        raise ParseError(f"{where}: not a decimal integer: {value!r}") from None
+        digits = len(value.lstrip("-"))
+        raise ParseError(f"{where}: {digits} digits, above the "
+                         f"{sys.get_int_max_str_digits()}-digit limit") from None
+
+
+def _int_strs(values: list, where: str) -> tuple[int, ...]:
+    """A list of decimal strings as ints, converted in one pass when every
+    entry is ASCII digits; otherwise _int_str of each entry, named where[i]."""
+    try:
+        text = "".join(values)
+    except TypeError:  # an entry is not a string
+        text = ""
+    if text.isascii() and text.isdigit():
+        try:
+            return tuple(map(int, values))
+        except ValueError:  # an entry is "" or has more digits than int() converts
+            pass
+    return tuple(_int_str(v, f"{where}[{i}]") for i, v in enumerate(values))
 
 
 def _list(value, where: str) -> list:
@@ -250,6 +272,14 @@ def _json_int(value, where: str) -> int:
     return value
 
 
+def _json_ints(values: list, where: str) -> tuple[int, ...]:
+    """A list of JSON integers as a tuple; an error names the first entry
+    that is not one as where[i]."""
+    if set(map(type, values)) <= {int}:
+        return tuple(values)
+    return tuple(_json_int(v, f"{where}[{i}]") for i, v in enumerate(values))
+
+
 def _fraction_obj(value, where: str) -> Fraction:
     if not isinstance(value, dict):
         raise ParseError(f"{where}: expected an object with num/den")
@@ -263,10 +293,46 @@ def _fraction_obj(value, where: str) -> Fraction:
     return Fraction(num, den)
 
 
+_JSON_CONSTANTS = {None: "null", False: "false", True: "true"}
+
+
 def dumps_json(doc: dict) -> str:
     """The byte-stable text of every instance and verdict file: sorted keys,
-    two-space indent, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    two-space indent, trailing newline, byte for byte
+    json.dumps(doc, sort_keys=True, indent=2) + "\n"."""
+    return _json_text(doc, "") + "\n"
+
+
+def _json_text(value, indent: str) -> str:
+    """value as json.dumps(value, sort_keys=True, indent=2) writes it, nested
+    at indent.  With an indent, json runs its pure-Python encoder; here a
+    list of plain ints is one join, and only floats, other scalar types and
+    dicts with a key that is not a string go through json."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        if set(map(type, value)) == {int}:  # bool is not int here, as in json
+            items = map(repr, value)
+        else:
+            items = (_json_text(v, inner) for v in value)
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if set(map(type, value)) != {str}:  # json converts such keys to strings
+            return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+        inner = indent + "  "
+        items = (f"{_json_str(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items()))
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int:
+        return repr(value)
+    if value is None or kind is bool:
+        return _JSON_CONSTANTS[value]
+    return json.dumps(value)
 
 
 def fraction_json(q: Fraction) -> dict:
@@ -329,17 +395,13 @@ def instance_from_json(doc: dict) -> Instance:
         _json_int(seed, "meta.seed")
     planted = meta.get("planted_x")
     if planted is not None:
-        planted = tuple(_json_int(b, f"meta.planted_x[{i}]")
-                        for i, b in enumerate(_list(planted, "meta.planted_x")))
+        planted = _json_ints(_list(planted, "meta.planted_x"), "meta.planted_x")
 
     if kind == "sssp":
         if "weight_rows" not in doc:
             raise ParseError('missing "weight_rows"')
-        rows = tuple(
-            tuple(_int_str(w, f"weight_rows[{i}][{j}]")
-                  for j, w in enumerate(_list(row, f"weight_rows[{i}]")))
-            for i, row in enumerate(_list(doc["weight_rows"], "weight_rows"))
-        )
+        rows = tuple(_int_strs(_list(row, f"weight_rows[{i}]"), f"weight_rows[{i}]")
+                     for i, row in enumerate(_list(doc["weight_rows"], "weight_rows")))
         if not rows:
             raise ParseError("weight_rows: need at least one row")
         if "rho" not in doc:
@@ -353,8 +415,7 @@ def instance_from_json(doc: dict) -> Instance:
     if kind in ("ssp", "partition"):
         if "weights" not in doc:
             raise ParseError('missing "weights"')
-        weights = tuple(_int_str(w, f"weights[{i}]")
-                        for i, w in enumerate(_list(doc["weights"], "weights")))
+        weights = _int_strs(_list(doc["weights"], "weights"), "weights")
         if kind == "ssp":
             if "target" not in doc:
                 raise ParseError('missing "target"')

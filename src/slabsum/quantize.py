@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .instance import PartitionInstance
 from .numerics import Surd, floor_div_sqrt
@@ -91,20 +92,13 @@ def quantize(inst: PartitionInstance, c: int | None = None,
 
     s = inst.weights
     norm_s_sq = inst.norm_sq
-    u = tuple(floor_div_sqrt(big_n * w, norm_s_sq) for w in s)
+    # floor_div_sqrt asserts the floor property of each entry as it goes
+    u = tuple([floor_div_sqrt(big_n * w, norm_s_sq) for w in s])
+    if 0 in u:
+        raise QuantizationUnderflow([k for k, uk in enumerate(u) if uk == 0], big_n)
 
-    zeros = [k for k, uk in enumerate(u) if uk == 0]
-    if zeros:
-        raise QuantizationUnderflow(zeros, big_n)
-
-    for uk, sk in zip(u, s):
-        lhs = uk * uk * norm_s_sq
-        mid = big_n * big_n * sk * sk
-        rhs = (uk + 1) * (uk + 1) * norm_s_sq
-        assert lhs <= mid < rhs, "floor property violated"
-
-    norm_u_sq = sum(uk * uk for uk in u)
-    dot_su = sum(sk * uk for sk, uk in zip(s, u))
+    norm_u_sq = sum(map(mul, u, u))
+    dot_su = sum(map(mul, s, u))
     cos_sq = Fraction(dot_su * dot_su, norm_s_sq * norm_u_sq)
     assert 0 <= cos_sq <= 1
     d_star_sq = Fraction(n, 4) * (1 - cos_sq)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .dp import BudgetError, solve_family
 from .instance import PartitionInstance, dumps_json, fraction_json
@@ -93,7 +94,7 @@ def decide(inst: PartitionInstance, c: int | None = None, big_n: int | None = No
         )
     t, x = scan.hit
     total_s = inst.total
-    dot_sx = sum(w for w, b in zip(inst.weights, x) if b)
+    dot_sx = sum(compress(inst.weights, x))
     dev2 = 2 * dot_sx - total_s  # twice the signed distance numerator S.(x - C)
     rel_error = Fraction(abs(dev2), total_s)
     # membership in the 8*d_star slab: (S.(x-C))^2 <= (4 d_star)^2 |S|^2

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 
 from .dp import BudgetError, attainable_witnesses, check_budget
 from .dp import dp_decide  # noqa: F401  (perfbench traces witness calls under this name)
@@ -222,7 +222,7 @@ def exact_l0(inst: SsspInstance, x) -> Fraction:
     """Exact sum of squared shell residuals at a vertex, via the anchor identity."""
     num, den = 0, 1
     for row, m in zip(inst.weight_rows, inst.row_norms_sq):
-        d = 2 * sum(w for w, b in zip(row, x) if b) - sum(row)
+        d = 2 * sum(compress(row, x)) - sum(row)
         num, den = num * m + d * d * den, den * m
     rho = inst.rho
     return Fraction(rho.numerator ** 2 * num, rho.denominator ** 2 * den)

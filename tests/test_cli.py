@@ -175,6 +175,29 @@ def test_usage_errors(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_over_long_weight_is_named_by_its_digit_count(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"kind": "partition", "weights": ["2", "1" * (limit + 700)]}))
+    assert run(["decide-slab", "--in", str(path), "--c", "2"]) == 1
+    assert capsys.readouterr().err == (f"slabsum: error: weights[1]: {limit + 700} digits, "
+                                       f"above the {limit}-digit limit\n")
+
+
+def test_gen_refuses_bits_beyond_the_digit_limit(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    widest = (10 ** limit).bit_length() - 1  # 2^widest - 1 has limit digits
+    out = tmp_path / "g.json"
+    for kind in ("partition", "sssp"):
+        assert run(["gen", "--n", "4", "--bits", "20000", "--kind", kind, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"slabsum: error: --bits 20000 is above {widest}, the widest weight "
+                       f"within the {limit}-digit limit\n"), err
+        assert not out.exists()
+    assert run(["gen", "--n", "2", "--bits", str(widest), "--planted", "--out", str(out)]) == 0
+    assert read_instance(out).m == widest  # the widest weights still round-trip
+
+
 def test_bench_command_smoke(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     assert run(["bench", "--n", "16,24", "--c", "2", "--repeats", "1",

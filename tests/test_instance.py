@@ -161,6 +161,69 @@ def test_malformed_shapes_are_parse_errors(doc, message, tmp_path, capsys):
     assert err.startswith("slabsum: error: ") and "Traceback" not in err
 
 
+# Each list the parser reads in one pass (weights, each weight_rows[i] and
+# meta.planted_x) with one faulty entry; the messages are those of the
+# per-entry parser, which names the first entry at fault.
+_RATIONAL = {"num": "8", "den": "1"}
+
+
+def _weights_doc(entry, index=1, size=3):
+    weights = ["1"] * size
+    weights[index] = entry
+    return {"kind": "partition", "weights": weights, "meta": {"m": 3}}
+
+
+def _row_doc(entry, index=2, size=4):
+    row = ["1"] * size
+    row[index] = entry
+    return {"kind": "sssp", "weight_rows": [["1"] * size, row], "meta": {"m": 3},
+            "rho": _RATIONAL, "delta": _RATIONAL}
+
+
+def _planted_doc(entry, index=1, size=3):
+    planted = [0] * size
+    planted[index] = entry
+    return {"kind": "partition", "weights": ["1"] * size, "meta": {"planted_x": planted}}
+
+
+_ENTRY_FAULTS = [
+    (3, "{}: expected a decimal string, got int"),
+    (None, "{}: expected a decimal string, got NoneType"),
+    ("", "{}: not a decimal integer: ''"),
+    ("+3", "{}: not a decimal integer: '+3'"),
+    (" 7", "{}: not a decimal integer: ' 7'"),
+    ("4_0", "{}: not a decimal integer: '4_0'"),
+    ("\u0663", "{}: not a decimal integer: '\u0663'"),
+    ("-3", "{} = -3 must be >= 1"),
+    ("0", "{} = 0 must be >= 1"),
+    ("9", "{} = 9 exceeds 3 bits"),
+]
+
+PARSE_ERRORS = [
+    *[(_weights_doc(entry), message.format("weights[1]")) for entry, message in _ENTRY_FAULTS],
+    *[(_row_doc(entry), message.format("weight_rows[1][2]")) for entry, message in _ENTRY_FAULTS],
+    (_planted_doc("1"), "meta.planted_x[1]: expected an integer, got str"),
+    (_planted_doc(True), "meta.planted_x[1]: expected an integer, got bool"),
+    (_planted_doc(1.0), "meta.planted_x[1]: expected an integer, got float"),
+    (_planted_doc(None), "meta.planted_x[1]: expected an integer, got NoneType"),
+    (_planted_doc(2), "planted_x must be 0/1"),
+    (_planted_doc(-1), "planted_x must be 0/1"),
+    # a fault at the last of 512 entries
+    (_weights_doc("x", 511, 512), "weights[511]: not a decimal integer: 'x'"),
+    (_weights_doc("9", 511, 512), "weights[511] = 9 exceeds 3 bits"),
+    (_row_doc("+1", 511, 512), "weight_rows[1][511]: not a decimal integer: '+1'"),
+    (_planted_doc(False, 511, 512), "meta.planted_x[511]: expected an integer, got bool"),
+    (_planted_doc(2, 511, 512), "planted_x must be 0/1"),
+]
+
+
+@pytest.mark.parametrize("doc, message", PARSE_ERRORS)
+def test_parse_error_names_the_entry(doc, message):
+    with pytest.raises(ParseError) as caught:
+        loads_instance(json.dumps(doc))
+    assert str(caught.value) == message
+
+
 def test_sssp_rows_over_m_bits_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(SSSP_OVER_M))
