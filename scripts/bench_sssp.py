@@ -9,9 +9,11 @@ the name `solve` calls it through, as the perfbench tracer does:
     geometry_ms  sssp.geometry
     window_ms    sssp.l0_window (null on a tree without it)
     table_ms     sssp.attainable_witnesses: the table fill and witness walk
-    l0_ms        sssp.exact_l0: the exact L0 filter
-    stages_ms    the rest of solve: stages 1/2 (B and cross-term lookups,
-                 sssp.cross_sum included), quantization and the budget check
+    l0_ms        sssp.l0_check, the integer L0 filter, or sssp.exact_l0 on a
+                 tree without it, where solve filters on the exact rational
+    stages_ms    the rest of solve: stages 1/2 (B and cross-term lookups, with
+                 their floats from sssp.stage_floats or sssp.cross_sum),
+                 quantization, the budget check and the certificate
 
 Each time is the median of REPEATS solves.  Next to them it records counts
 that do not depend on the machine: the attainable targets on the whole
@@ -41,8 +43,9 @@ KINDS = ("random", "duplicate")
 BITS = 8
 SEEDS = 3
 REPEATS = 5
-STAGES = {"geometry": "geometry_ms", "l0_window": "window_ms",
-          "attainable_witnesses": "table_ms", "exact_l0": "l0_ms"}
+# each timing column wraps the first of its names that the tree has
+STAGES = {"geometry_ms": ("geometry",), "window_ms": ("l0_window",),
+          "table_ms": ("attainable_witnesses",), "l0_ms": ("l0_check", "exact_l0")}
 
 
 def quantized_axis(inst, c: int = 2) -> tuple[int, ...] | None:
@@ -73,15 +76,16 @@ class Stages:
     def __init__(self):
         from slabsum import dp, sssp
 
-        self.ms = dict.fromkeys(STAGES.values(), 0.0)
+        self.ms = dict.fromkeys(STAGES, 0.0)
         self.counts = {"listed": 0, "exact_checks": 0, "survivors": 0}
         self.tables = []
         self.patches = []
-        for name, key in STAGES.items():
-            if hasattr(sssp, name):
-                self._wrap(sssp, name, key)
-            else:
+        for key, names in STAGES.items():
+            name = next((name for name in names if hasattr(sssp, name)), None)
+            if name is None:
                 self.ms[key] = None
+            else:
+                self._wrap(sssp, name, key)
         table, tables = dp.ReachTable, self.tables
 
         class Recorded(table):
@@ -102,6 +106,9 @@ class Stages:
             ms[key] += (time.perf_counter() - t0) * 1e3
             if name == "attainable_witnesses":
                 counts["listed"] += len(result)
+            elif name == "l0_check":
+                counts["exact_checks"] += 1
+                counts["survivors"] += result is not None
             elif name == "exact_l0":
                 counts["exact_checks"] += 1
                 counts["survivors"] += result <= 5 * args[0].delta

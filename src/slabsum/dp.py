@@ -385,9 +385,9 @@ def solve_family(q: QuantizedNormal, *, budget_cells: int | None = None) -> Fami
     When the probe is skipped, gives up or misses, one ReachTable capped at
     the window top hi answers every target.  Its fill stops as soon as the
     first target's bit appears, otherwise it runs to row 1; the hit is the
-    first target in center-out order that the last row filled attains.
-    targets_scanned is the hit's 1-based position in that order, or the
-    window size when nothing hits.
+    first target in center-out order that the last row filled attains,
+    found without sorting the window.  targets_scanned is the hit's 1-based
+    position in that order, or the window size when nothing hits.
     """
     total = q.total_u
     fam = family_window(total, q.n)
@@ -396,12 +396,16 @@ def solve_family(q: QuantizedNormal, *, budget_cells: int | None = None) -> Fami
     probe = center_probe(q.u, total // 2, fam.window[-1])
     if probe is not None:
         return FamilyScan(fam, (fam.t_of(total // 2), probe[2]), 1)
-    order = sorted(fam.window, key=lambda tau: (abs(2 * tau - total), tau))
+    lo = fam.window[0]
     table = ReachTable(q.u, fam.window[-1], budget_cells=budget_cells,
-                       early_stop_bit=order[0], window_lo=fam.window[0])
-    attained = set(table.attained())
-    pos = next((i for i, tau in enumerate(order) if tau in attained), None)
-    if pos is None:
-        return FamilyScan(fam, None, len(order))
-    tau = order[pos]
-    return FamilyScan(fam, (fam.t_of(tau), table.witness(tau)), pos + 1)
+                       early_stop_bit=total // 2, window_lo=lo)
+
+    def key(t):
+        return abs(2 * t - total), t
+
+    # only window targets count, whatever low end the table keeps
+    tau = min((t for t in table.attained() if t >= lo), key=key, default=None)
+    if tau is None:
+        return FamilyScan(fam, None, len(fam.window))
+    ahead = sum(key(t) < key(tau) for t in fam.window)
+    return FamilyScan(fam, (fam.t_of(tau), table.witness(tau)), ahead + 1)

@@ -7,6 +7,7 @@ verification backbone the solvers are tested against at desk scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -145,14 +146,17 @@ def min_vertex_L0(inst: SsspInstance, *, max_n: int = DEFAULT_MAX_N) -> tuple[Fr
     """Exact minimum of L0 over all vertices and one argmin.
 
     Uses the anchor identity per row, so each vertex costs p incremental
-    integer updates and the minimum is an exact rational.
+    integer updates and one integer comparison; the minimum is an exact
+    rational.
     """
     _check_cap(inst.n, max_n)
     rows = inst.weight_rows
     norms = inst.row_norms_sq
     totals = [sum(row) for row in rows]
-    rho_sq = inst.rho * inst.rho
     # d_i = 2*S_i.x - total_i tracked incrementally; L0 = sum rho^2 d_i^2 / m_i
+    # = rho^2 * sum d_i^2 * (L/m_i) / L over L = lcm(m_i)
+    big_l = math.lcm(*norms)
+    factors = [big_l // m for m in norms]
     d = [-t for t in totals]
     best = None
     best_mask = 0
@@ -165,8 +169,8 @@ def min_vertex_L0(inst: SsspInstance, *, max_n: int = DEFAULT_MAX_N) -> tuple[Fr
             sgn = 2 if mask & bit else -2
             for r in range(inst.p):
                 d[r] += sgn * rows[r][j]
-        value = sum(Fraction(di * di, m) for di, m in zip(d, norms))
+        value = sum(di * di * f for di, f in zip(d, factors))
         if best is None or value < best:
             best = value
             best_mask = mask
-    return rho_sq * best, _mask_to_x(best_mask, inst.n)
+    return inst.rho * inst.rho * Fraction(best, big_l), _mask_to_x(best_mask, inst.n)

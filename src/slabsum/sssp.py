@@ -6,7 +6,7 @@ shells merge into one (midpoint center, radically adjusted radius) at the
 cost of a cross term; guessing the discarded cross terms on a grid, level by
 level, collapses the whole system to a single shell condition that the slab
 engine can decide.  The search runs in floats; every candidate vertex is
-accepted or rejected by exact rational arithmetic only.
+accepted or rejected by exact integer arithmetic only.
 
 The search goes witness first.  The vertex a grid leaf proposes for a target
 depends on the target alone, and the exact acceptance check on the vertex
@@ -24,13 +24,16 @@ radius rho^2 + n/4,
 
     |x - C_i|^2 - R_i^2  ==  2 * rho * S_i.(x - C) / |S_i|
 
-holds exactly at vertices, and its square is rational.
+holds exactly at vertices: leaf residual i is rho*d_i/|S_i| for the integer
+d_i = S_i.(2x - 1).  Every stage of the search reads a vertex through its p
+integers d_i, and L0 <= 5*delta is a comparison of integers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import compress, product
 
@@ -112,9 +115,7 @@ def merge_pair(a: MergeNode, b: MergeNode) -> MergeNode:
     2*(|x-C|^2 - R^2) equals the sum of the children's residuals for all x."""
     if a.level != b.level:
         raise ValueError("can only merge nodes of equal level")
-    center = tuple((ca + cb) / 2 for ca, cb in zip(a.center, b.center))
-    dist_sq = sum((ca - cb) ** 2 for ca, cb in zip(a.center, b.center))
-    radius_sq = (a.radius_sq + b.radius_sq) / 2 - dist_sq / 4
+    center, radius_sq = root_sphere((a, b))
     return MergeNode(center=center, radius_sq=radius_sq, level=a.level + 1,
                      children=(a, b))
 
@@ -133,6 +134,17 @@ def merge_tree(shells) -> MergeTree:
         level = tuple(merge_pair(level[i], level[i + 1]) for i in range(0, len(level), 2))
         levels.append(level)
     return MergeTree(root=level[0], levels=tuple(levels))
+
+
+def root_sphere(shells) -> tuple[tuple, object]:
+    """(center, radius_sq) of merge_tree(shells).root without its nodes;
+    merge_pair merges through it, so the two agree bit for bit."""
+    level = [(s.center, s.radius_sq) for s in shells]
+    while len(level) > 1:
+        level = [(tuple((x + y) / 2 for x, y in zip(ca, cb)),
+                  (ra + rb) / 2 - sum((x - y) ** 2 for x, y in zip(ca, cb)) / 4)
+                 for (ca, ra), (cb, rb) in zip(level[::2], level[1::2])]
+    return level[0]
 
 
 def cross_sum(tree: MergeTree, q: int, x):
@@ -228,6 +240,26 @@ def exact_l0(inst: SsspInstance, x) -> Fraction:
     return Fraction(rho.numerator ** 2 * num, rho.denominator ** 2 * den)
 
 
+def l0_bound(inst: SsspInstance) -> tuple:
+    """(rows, totals, factors, lhs, rhs) for l0_check.  With L = lcm_i |S_i|^2
+    and factors[i] = L/|S_i|^2, exact_l0 is rho^2 * sum_i d_i^2 * factors[i] / L,
+    so L0 <= 5*delta iff lhs * sum_i d_i^2 * factors[i] <= rhs, where
+    lhs = rho_num^2 * delta_den and rhs = 5 * delta_num * rho_den^2 * L."""
+    big_l = math.lcm(*inst.row_norms_sq)
+    rho, delta = inst.rho, inst.delta
+    return (inst.weight_rows, tuple(map(sum, inst.weight_rows)),
+            tuple(big_l // m for m in inst.row_norms_sq), rho.numerator ** 2 * delta.denominator,
+            5 * delta.numerator * rho.denominator ** 2 * big_l)
+
+
+def l0_check(bound: tuple, x) -> list[int] | None:
+    """The d_i = S_i.(2x - 1) of vertex x when its exact L0 is at most
+    5*delta, else None; bound is l0_bound(inst)."""
+    rows, totals, factors, lhs, rhs = bound
+    ds = [2 * sum(compress(row, x)) - t for row, t in zip(rows, totals)]
+    return ds if lhs * sum(d * d * f for d, f in zip(ds, factors)) <= rhs else None
+
+
 def curvature_term(inst: SsspInstance) -> Fraction:
     """n/(8*rho): how far the sphere sags from its tangent hyperplane inside
     the cube ball.  Kept at or below delta/8 by the rho precondition."""
@@ -254,17 +286,25 @@ class SsspCertificate:
 
 @dataclass(frozen=True)
 class Geometry:
-    """Merge tree and (M, B) guess grids of one instance and eps_b."""
+    """Root sphere and (M, B) guess grids of one instance and eps_b."""
 
-    tree: MergeTree
+    shells: tuple[Shell, ...]
     grids: tuple[LevelGrid, ...]
-    axis: tuple[float, ...]       # cube center minus merged center; all positive
+    levels: tuple[tuple, ...]       # per grid: count, float(mbar), float(step), *int_terms()
+    leaf_scales: tuple[float, ...]  # rho / |S_i|: leaf residual i is d_i times it
+    axis: tuple[float, ...]         # cube center minus merged center; all positive
     axis_norm: float
+    root_radius_sq: float
     root_radius: float
     b_lo: float
     eps_b: float
     b_count: int
     grid_size: int
+
+    @cached_property
+    def tree(self) -> MergeTree:
+        """merge_tree(shells), built on first use; the search reads only the root."""
+        return merge_tree(self.shells)
 
 
 def geometry(inst: SsspInstance, eps_b: float | None) -> Geometry:
@@ -276,16 +316,19 @@ def geometry(inst: SsspInstance, eps_b: float | None) -> Geometry:
             f"need rho >= n/delta = {Fraction(inst.n) / inst.delta} to keep the "
             "curvature term within delta/8"
         )
-    tree = merge_tree(build_shells(inst))
+    shells = build_shells(inst)
+    root_center, root_radius_sq = root_sphere(shells)
     grids = correction_grids(inst.p, n, inst.rho, inst.delta)
-    axis = tuple(0.5 - ck for ck in tree.root.center)
+    levels = tuple((g.count, float(g.mbar), float(g.step), *g.int_terms()) for g in grids)
+    axis = tuple(0.5 - ck for ck in root_center)
     axis_norm = math.sqrt(sum(a * a for a in axis))
     if axis_norm < math.sqrt(n):
         raise ValueError(
             f"merged center is only {axis_norm:.3f} from the cube center; "
             f"need at least sqrt(n) = {math.sqrt(n):.3f} for a usable geometry"
         )
-    root_radius = math.sqrt(float(tree.root.radius_sq))
+    root_radius_sq = float(root_radius_sq)
+    root_radius = math.sqrt(root_radius_sq)
     half_diag = math.sqrt(n) / 2
     b_lo = abs(half_diag - axis_norm) + root_radius
     b_up = half_diag + axis_norm + root_radius
@@ -297,11 +340,11 @@ def geometry(inst: SsspInstance, eps_b: float | None) -> Geometry:
     if not math.isfinite(span):
         raise ValueError(f"eps_b {eps_b} is too small: (B_up - B_lo)/eps_b is not finite")
     b_count = max(1, math.ceil(span) + 1)
-    grid_size = b_count
-    for g in grids:
-        grid_size *= g.count
-    return Geometry(tree, grids, axis, axis_norm, root_radius,
-                    b_lo, eps_b, b_count, grid_size)
+    grid_size = math.prod(count for count, *_ in levels) * b_count
+    rho_f = float(inst.rho)
+    leaf_scales = tuple(rho_f / math.sqrt(m) for m in inst.row_norms_sq)
+    return Geometry(shells, grids, levels, leaf_scales, axis, axis_norm, root_radius_sq,
+                    root_radius, b_lo, eps_b, b_count, grid_size)
 
 
 def grid_cardinality(inst: SsspInstance, *, eps_b: float | None = None) -> int:
@@ -367,14 +410,41 @@ def _leaf_window(geo: Geometry, scale: int, total_w: int, y_lo: float, y_hi: flo
     return t_lo, t_hi
 
 
-def _indices_near(count: int, pos: float, accept) -> list[int]:
-    """Indices in [0, count) within two of floor(pos) that `accept` passes.
+def _near(count: int, pos: float) -> range:
+    """Indices in [0, count) within two of floor(pos).
 
-    Every caller's predicate accepts only indices within about one of pos,
-    so the two-index margin on each side covers float rounding with room
-    to spare."""
+    Every stage accepts only indices within about one of pos, so the
+    two-index margin on each side covers float rounding with room to
+    spare."""
     base = math.floor(pos)
-    return [i for i in range(max(0, base - 2), min(count, base + 4)) if accept(i)]
+    return range(max(0, base - 2), min(count, base + 4))
+
+
+def stage_floats(geo: Geometry, ds) -> tuple[float, list[float]]:
+    """|x - C_root| and each merge step's cross sum at the vertex x whose
+    d_i = S_i.(2x - 1) are ds, in O(p): leaf residual i is d_i*rho/|S_i|, a
+    merged node's the mean of its children's, and
+    |x - C_root|^2 = r_root + R_root^2."""
+    res = [d * s for d, s in zip(ds, geo.leaf_scales)]
+    crosses = []
+    while len(res) > 1:
+        pairs = list(zip(res[::2], res[1::2]))
+        crosses.append(sum(2 * a * b for a, b in pairs))
+        res = [(a + b) / 2 for a, b in pairs]
+    return math.sqrt(res[0] + geo.root_radius_sq), crosses
+
+
+def stage_indices(geo: Geometry, dist_root: float,
+                  crosses) -> tuple[list[int], list[list[int]]]:
+    """Stage 1's B indices, within one step of dist_root + R_root, and
+    stage 2's M indices per level, within one step of its cross sum."""
+    b_lo, eps_b, root_radius = geo.b_lo, geo.eps_b, geo.root_radius
+    b_idx = [bi for bi in _near(geo.b_count, (dist_root + root_radius - b_lo) / eps_b)
+             if abs(b_lo + bi * eps_b - dist_root - root_radius) <= eps_b * (1 + 1e-9)]
+    # guess i of a grid is (i*sn - mn) / dd, float(g.value(i)) exactly
+    return b_idx, [[i for i in _near(count, (cs + mbar_f) / step_f)
+                    if abs((i * sn - mn) / dd - cs) <= step_f * (1 + 1e-9)]
+                   for (count, mbar_f, step_f, sn, mn, dd), cs in zip(geo.levels, crosses)]
 
 
 def solve(inst: SsspInstance, *, leaf_budget: int = 10_000_000, c: int = 2,
@@ -394,18 +464,18 @@ def solve(inst: SsspInstance, *, leaf_budget: int = 10_000_000, c: int = 2,
     from "two or more".
 
     The grid is never walked.  The vertex depends on tau alone and the
-    exact check on the vertex alone, so one reachability table yields every
-    attainable tau's vertex, and those failing l0 <= 5*delta are dropped
-    before any grid point is looked at.  Only the taus of l0_window can
-    pass that check, so the table is banded by that window and the others
-    are never filled, walked or checked.  The B and cross-term predicates
-    each accept only guesses within one grid step of a value computed from
-    the vertex, so each survivor lists the few (M, B) grid points it can
-    satisfy and keeps the first whose leaf window holds its tau.  The
-    smallest such key over all survivors is exactly the leaf walk's first
-    hit.  The leaf budget still bounds the grid size, walked or not, and
-    the cell budget still counts (n+1)*(sum(w)+1) cells for the whole
-    axis, checked before any row is allocated.
+    exact check on the vertex alone, so one reachability table, banded by
+    l0_window (only its taus can pass), yields every candidate vertex.  One
+    integer pass gives each vertex's p integers d_i = S_i.(2x - 1);
+    l0_check drops those failing l0 <= 5*delta in integers, and stages 1
+    and 2 read their floats from the d_i (stage_floats), O(p) per vertex.
+    Each stage accepts only guesses within one grid step of a value
+    computed from the vertex, so each survivor lists the few (M, B) grid
+    points it can satisfy and keeps the first whose leaf window holds its
+    tau; the smallest such key over all survivors is exactly the leaf
+    walk's first hit.  The leaf budget still bounds the grid size, walked
+    or not, and the cell budget still counts (n+1)*(sum(w)+1) cells for the
+    whole axis, checked before any row is allocated.
 
     geo is geometry(inst, eps_b), built here with the default eps_b when
     not given; a caller that sets eps_b or needs the grid size whatever the
@@ -433,25 +503,22 @@ def solve(inst: SsspInstance, *, leaf_budget: int = 10_000_000, c: int = 2,
     if window is None:
         return None
 
-    five_delta = 5 * inst.delta
+    bound = l0_bound(inst)
     candidates = []
     for tau, x in attainable_witnesses(w, *window, budget_cells=budget_cells):
-        l0 = exact_l0(inst, x)
-        if l0 <= five_delta:
-            candidates.append((tau, x, l0))
+        ds = l0_check(bound, x)
+        if ds is not None:
+            candidates.append((tau, x, ds))
     if not candidates:
         return None
 
     slack = 3 * float(inst.delta)
-    # stage 2 reads guess i of a grid as (i*sn - mn) / dd, float(g.value(i)) exactly
-    levels = [(g.count, float(g.mbar), float(g.step), *g.int_terms()) for g in geo.grids]
     # a leaf's sum_q 4^q * M_q as sum_q (c_q * i_q - k_q) / sig_den, which
     # one int true division turns into the float of that exact rational
-    sig_den = math.lcm(*(dd for *_, dd in levels))
+    sig_den = math.lcm(*(dd for *_, dd in geo.levels))
     sig_terms = [(4 ** q * sn * (sig_den // dd), 4 ** q * mn * (sig_den // dd))
-                 for q, (*_, sn, mn, dd) in enumerate(levels)]
+                 for q, (*_, sn, mn, dd) in enumerate(geo.levels)]
     four_l = 4 ** depth
-    root_center = geo.tree.root.center
 
     def first_leaf(tau, b_idx, m_idx_lists):
         """Smallest (m_idx, bi, band) among the given guesses whose leaf
@@ -473,36 +540,20 @@ def solve(inst: SsspInstance, *, leaf_budget: int = 10_000_000, c: int = 2,
                         return (m_idx, bi, band_i), b_val
         return None
 
-    best = None  # (leaf key, x, B, l0); tau breaks key ties, ascending
-    for tau, x, l0 in candidates:
-        # stage 1: B guesses within one step of |x - C_root| + R
-        dist_root = math.sqrt(sum((xk - ck) ** 2 for xk, ck in zip(x, root_center)))
-        b_idx = _indices_near(
-            geo.b_count, (dist_root + geo.root_radius - geo.b_lo) / geo.eps_b,
-            lambda bi: abs(geo.b_lo + bi * geo.eps_b - dist_root - geo.root_radius)
-            <= geo.eps_b * (1 + 1e-9))
-        if not b_idx:
-            continue
-        # stage 2: per level, M guesses within one step of the true cross sum
-        m_idx_lists = []
-        for q, (count, mbar_f, step_f, sn, mn, dd) in enumerate(levels):
-            cs = cross_sum(geo.tree, q, x)
-            m_idx_lists.append(_indices_near(
-                count, (cs + mbar_f) / step_f,
-                lambda i: abs((i * sn - mn) / dd - cs) <= step_f * (1 + 1e-9)))
-            if not m_idx_lists[-1]:
-                break
-        else:
+    best = None  # (leaf key, x, B); tau breaks key ties, ascending
+    for tau, x, ds in candidates:
+        b_idx, m_idx_lists = stage_indices(geo, *stage_floats(geo, ds))
+        if b_idx and all(m_idx_lists):
             leaf = first_leaf(tau, b_idx, m_idx_lists)
             if leaf is not None and (best is None or leaf[0] < best[0]):
-                best = (leaf[0], x, leaf[1], l0)
+                best = (leaf[0], x, leaf[1])
     if best is None:
         return None
-    (m_idx, _, _), x, b_val, l0 = best
+    (m_idx, _, _), x, b_val = best
     m_vals = tuple(g.value(i) for g, i in zip(geo.grids, m_idx))
     return SsspCertificate(x=x, chosen_m=m_vals, chosen_b=Fraction(b_val),
-                           l0_exact=l0, accepted=True, curvature=curvature_term(inst),
-                           grid_size=geo.grid_size)
+                           l0_exact=exact_l0(inst, x), accepted=True,
+                           curvature=curvature_term(inst), grid_size=geo.grid_size)
 
 
 def result_to_json(cert: SsspCertificate | None, *, curvature: Fraction,

@@ -134,6 +134,30 @@ def test_min_vertex_l0_matches_eval():
         assert eval_L0(x, shells) >= best
 
 
+def test_min_vertex_l0_is_the_first_rational_argmin():
+    # the integer comparison must give the minimum and the first argmin, in
+    # Gray-code order, of the per-shell rational sum
+    rng = random.Random(3)
+    for seed in range(60):
+        p = (1, 2, 4)[seed % 3]
+        n = rng.randint(p + 1, 8)
+        rows = tuple(tuple(rng.randrange(1, 1 << rng.randint(1, 5)) for _ in range(n))
+                     for _ in range(p))
+        if seed % 4 == 0:
+            rows = (rows[0],) * p
+        inst = SsspInstance(rows, rho=Fraction(rng.randint(1, 40), rng.randint(1, 7)),
+                            delta=Fraction(1))
+        shells = build_shells(inst)
+        want = None
+        for mask, _ in iter_vertex_sums(rows[0]):
+            x = tuple((mask >> k) & 1 for k in range(n))
+            value = eval_L0(x, shells)
+            if want is None or value < want[0]:
+                want = (value, x)
+        got = min_vertex_L0(inst)
+        assert got == want and isinstance(got[0], Fraction), seed
+
+
 def test_subset_sums_oracle_small():
     assert all_subset_sums((1, 2)) == {0, 1, 2, 3}
     assert all_subset_sums((5,)) == {0, 5}
