@@ -13,30 +13,41 @@ For each it times the whole decision, `solve_family` (decide_ms), and
 records the position of its hit (targets_scanned).  It times the steps the
 CLI runs around that decision too: `read_instance` of the instance file
 (read_ms), `quantize` (quantize_ms), and `dumps_json` of the verdict as
-`decide-slab` writes it (emit_ms).  On a tree with the
-complement probe, `center_probe`, it records on how many seeds the probe
-answered the decision (probe_answered) and the widest row it filled, in
-bits (probe_width); both are null on a tree without one.  Then it builds
-the table solve_family falls back to, times the fill and the walk of the
-hit's witness apart, and records the checkpoints stored, the megabytes of
-row storage the table holds after the walk, and the bits the walk rebuilds
-(rows re-derived times the width of each); the walk columns are null when
-nothing hits.  Each time is the median of REPEATS runs, and each figure
-the median over seeds 0..4, but probe_answered, a sum, and probe_width, a
-maximum.
+`decide-slab` writes it (emit_ms).  On a tree with the complement probe,
+`center_probe`, it records on how many seeds the probe answered the
+decision (probe_answered), the widest row it filled, in bits
+(probe_width), its time (probe_ms) and the row fills it ran over all seeds
+(probe_fills): each fill of the stop search and, on trees that fill the
+rows again for the witness walk, that refill; all four are null on a tree
+without a probe.  Then it builds the table solve_family falls back to,
+times the fill and the walk of the hit's witness apart, and records the
+checkpoints stored, the megabytes of row storage the table holds after the
+walk, and the bits the walk rebuilds (rows re-derived times the width of
+each); the walk columns are null when nothing hits.  Each time is the
+median of REPEATS runs, and each figure the median over seeds 0..4, but
+probe_answered and probe_fills, sums, and probe_width, a maximum.
+
+Probe-only rows, at planted n in {128, 256} and N = n^3, run center_probe
+alone, where the CLI's budget refuses the table: each seed in a fresh
+interpreter, which records its peak RSS (VmHWM, which unlike ru_maxrss
+starts afresh at exec) before the probe (rss_base_mb) and after it
+(rss_mb, the maximum over seeds).
 
     PYTHONPATH=src python scripts/bench_decide.py --before 15e1e59
 
 measures the tree in src/ as "after" and the src/ of git revision 15e1e59
 as "before" and writes both to BENCH_decide.json (see benchlib.py).  It
-reads only names both trees have, but center_probe, which it looks up: the
-table's stored rows in `checkpoints`, and `attained()`.
+reads only names both trees have, but the probe's, which it looks up
+(center_probe and the fills count_fills names): the table's stored rows in
+`checkpoints`, and `attained()`.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -45,6 +56,7 @@ from pathlib import Path
 import benchlib
 
 SIZES = (128, 256, 512)
+PROBE_ONLY_SIZES = (128, 256)
 DOMINATED_SIZES = (63, 80, 97)
 SEEDS = range(5)
 REPEATS = 5
@@ -74,6 +86,23 @@ def held_mb(table) -> float:
     kernel, (first word, words) band slices."""
     rows = [r[1] if isinstance(r, tuple) else r for r in table.checkpoints.values()]
     return sum(getattr(r, "nbytes", None) or sys.getsizeof(r) for r in rows) / 2**20
+
+
+def count_fills(dp, call) -> int:
+    """The row fills the probe runs in call(): calls of its stop-search fill
+    (`_probe_fill`, or `_probe_stop` on older trees) and of the witness
+    refill (`_probe_witness`) on trees that have one."""
+    fills = []
+    saved = {name: getattr(dp, name) for name in ("_probe_fill", "_probe_stop", "_probe_witness")
+             if hasattr(dp, name)}
+    for name, inner in saved.items():
+        setattr(dp, name, lambda *args, inner=inner: fills.append(1) or inner(*args))
+    try:
+        call()
+    finally:
+        for name, inner in saved.items():
+            setattr(dp, name, inner)
+    return len(fills)
 
 
 def median_ms(call):
@@ -106,7 +135,10 @@ def measure_case(kind: str, n: int, big_n: int, seed: int) -> dict:
     order = sorted(fam.window, key=lambda tau: (abs(2 * tau - q.total_u), tau))
     decide_ms, scan = median_ms(lambda: solve_family(q))
     probe = getattr(dp, "center_probe", None)
-    answer = probe(q.u, order[0], fam.window[-1]) if probe else None
+    probe_ms = answer = fills = None
+    if probe:
+        probe_ms, answer = median_ms(lambda: probe(q.u, order[0], fam.window[-1]))
+        fills = count_fills(dp, lambda: probe(q.u, order[0], fam.window[-1]))
 
     fill_ms, walk_ms = [], []
     for _ in range(REPEATS):
@@ -130,22 +162,62 @@ def measure_case(kind: str, n: int, big_n: int, seed: int) -> dict:
             "emit_ms": emit_ms, "targets_scanned": scan.targets_scanned,
             "probe_answered": None if probe is None else int(answer is not None),
             "probe_width": None if probe is None else answer[0] if answer else 0,
+            "probe_ms": probe_ms, "probe_fills": fills,
             "fill_ms": statistics.median(fill_ms),
             "walk_ms": None if tau is None else statistics.median(walk_ms),
             "checkpoints": len(table.checkpoints), "held_mb": held_mb(table),
             "walk_bits": None if tau is None else walk_bits(table, tau, x)}
 
 
-MERGE = {"probe_answered": sum, "probe_width": max}
+def peak_rss_mb() -> float:
+    """This process's peak resident set size so far, from /proc."""
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024
+
+
+def probe_only_case(n: int, big_n: int, seed: int) -> dict:
+    """center_probe alone on a planted instance, in this interpreter; run
+    it in a fresh one (probe_only) for a peak RSS that is the probe's."""
+    from slabsum import dp
+    from slabsum.dp import family_window
+    from slabsum.instance import gen_planted
+    from slabsum.quantize import quantize
+
+    q = quantize(gen_planted(n, 16, seed), big_n=big_n)
+    top = family_window(q.total_u, q.n).window[-1]
+
+    def call():
+        return dp.center_probe(q.u, q.total_u // 2, top)
+
+    base = peak_rss_mb()
+    probe_ms, answer = median_ms(call)
+    rss = peak_rss_mb()
+    return {"probe_answered": int(answer is not None), "probe_width": answer[0] if answer else 0,
+            "probe_ms": probe_ms, "probe_fills": count_fills(dp, call),
+            "rss_base_mb": base, "rss_mb": rss}
+
+
+def probe_only(n: int, big_n: int, seed: int) -> dict:
+    """probe_only_case in a fresh interpreter on the same PYTHONPATH."""
+    code = (f"import json, sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+            "import bench_decide; "
+            f"print(json.dumps(bench_decide.probe_only_case({n}, {big_n}, {seed})))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
+    return json.loads(out.stdout)
+
+
+MERGE = {"probe_answered": sum, "probe_fills": sum, "probe_width": max, "rss_mb": max}
 
 
 def measure() -> list[dict]:
     cases = [("planted", n, scale, big_n) for n in SIZES
              for scale, big_n in (("c=2", n * n), ("N=4n^2", 4 * n * n))]
     cases += [("dominated", n, "c=3", n ** 3) for n in DOMINATED_SIZES]
+    cases += [("planted probe only", n, "N=n^3", n ** 3) for n in PROBE_ONLY_SIZES]
     rows = []
     for kind, n, scale, big_n in cases:
-        runs = [measure_case(kind, n, big_n, seed) for seed in SEEDS]
+        runs = [probe_only(n, big_n, seed) if kind.endswith("probe only")
+                else measure_case(kind, n, big_n, seed) for seed in SEEDS]
         row = {"kind": kind, "n": n, "scale": scale, "big_n": big_n, "seeds": len(runs)}
         for key in runs[0]:
             values = [r[key] for r in runs]

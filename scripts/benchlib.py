@@ -9,8 +9,9 @@ bench's settings, to its BENCH_*.json at the repository root.
 
 The two trees are measured in ROUNDS alternating rounds, the tree that
 goes first alternating too, so load that drifts during the run reaches
-both.  Each timing column (a key ending in _ms) is the median over the
-rounds; every other column is a count and must repeat exactly.
+both.  Each timing or memory column (a key ending in _ms or _mb) is the
+median over the rounds; every other column is a count and must repeat
+exactly.
 """
 
 from __future__ import annotations
@@ -49,15 +50,15 @@ def measure_tree(script: str, src: Path) -> list[dict]:
 
 
 def merge_rounds(rounds: list[list[dict]]) -> list[dict]:
-    """One list of rows from a tree's rounds: the median of each _ms column
-    (null when any round has none) and the value of every other column,
-    which must be the same in every round."""
+    """One list of rows from a tree's rounds: the median of each _ms and _mb
+    column (null when any round has none) and the value of every other
+    column, which must be the same in every round."""
     merged = []
     for rows in zip(*rounds):
         row = {}
         for key, value in rows[0].items():
             values = [r[key] for r in rows]
-            if key.endswith("_ms"):
+            if key.endswith(("_ms", "_mb")):
                 value = None if None in values else round(statistics.median(values), 3)
             elif values.count(value) != len(values):
                 raise RuntimeError(f"count column {key} differs between rounds: {values}")

@@ -196,8 +196,9 @@ def _cmd_solve_sssp(args) -> int:
     # one geometry gives the grid size of an exhausted search as well
     geo = sssp_mod.geometry(inst, args.eps_b)
     cert = sssp_mod.solve(inst, leaf_budget=args.leaf_budget, c=args.c, geo=geo)
-    doc = sssp_mod.result_to_json(cert, curvature=sssp_mod.curvature_term(inst),
-                                  grid_size=geo.grid_size)
+    # a certificate carries its own curvature term, which result_to_json prints
+    curvature = cert.curvature if cert else sssp_mod.curvature_term(inst)
+    doc = sssp_mod.result_to_json(cert, curvature=curvature, grid_size=geo.grid_size)
     _emit(doc, args.out)
     return EXIT_OK
 

@@ -34,18 +34,16 @@ reads, and what `cells` counts, not what the fill computes.
 Before any table, solve_family tries the complement probe on the target
 it looks at first, the center of the window.  Subset sums are symmetric:
 tau is in row k iff D_k = Suf(k) - tau is, and bits [0, W] of row k depend
-only on bits [0, W] of row k+1.  So Python-int rows masked to [0, W]
-decide "tau in row k" exactly while D_k <= W, and D_k only grows as k
-falls (balancing around the break solution, in the spirit of Pisinger
-1999).  The walk keeps to the same small rows, since D only falls along
-it.  On planted instances the center target appears where D is tens of
-thousands of bits, against a window top of millions, so the decision needs
-no wide table.  The probe's rows are never wider than a fixed share of the
-window top: it is skipped when that share is below its starting width or
-below D at the first row that can reach tau, and it gives up when it would
-grow past that share; then, and when tau is not attained, the table
-answers as before.  The budget is checked before either.  dp_run builds
-its table directly, so it stays an independent reference for the probe.
+only on bits [0, W] of row k+1, so rows masked to [0, W] decide it exactly
+while D_k <= W (balancing around the break solution, in the spirit of
+Pisinger 1999).  One fill finds the stop row and keeps the rows below it
+for the witness walk.  W starts at D at the first row that can reach tau,
+at least 2^12, and a give-up where D passes W refills at max(2W, D), so
+the kept rows are under 2 max(D_stop, 2^12) bits wide: tens of thousands
+on planted instances, against a window top of millions.  W never passes a
+fixed share of the window top; past it, and when tau is not attained, the
+table answers as before.  The budget is checked before either.  dp_run
+builds its table directly, so it stays an independent reference.
 """
 
 from __future__ import annotations
@@ -239,9 +237,12 @@ def center_probe(u: tuple[int, ...], tau: int, top: int
     [0, W] decide row k exactly while 0 <= D_k <= W.  D_k only grows as k
     falls.  The cap on W is top // PROBE_SHARE.  The probe is skipped, in
     O(n), when the cap is below PROBE_MIN_BITS or d0, D at the first row
-    whose suffix sum reaches tau, exceeds the cap; otherwise W starts at the
-    least power of two at or above max(2 d0, PROBE_MIN_BITS), or at the cap
-    if that is lower, and grows 4x on each give-up, up to the cap.
+    whose suffix sum reaches tau, exceeds the cap.  W starts at
+    max(PROBE_MIN_BITS, d0); a fill that gives up where D first passes W
+    is redone at max(2W, that D), up to the cap.  The fill that finds tau
+    keeps rows n+1..stop+1, each under 2 max(D_stop, PROBE_MIN_BITS) bits,
+    and the witness walks them: D only falls along the walk, so every bit
+    it reads is exact.
     """
     cap = top // PROBE_SHARE
     if cap < PROBE_MIN_BITS:
@@ -253,44 +254,17 @@ def center_probe(u: tuple[int, ...], tau: int, top: int
             break
     if not 0 <= suf - tau <= cap:
         return None
-    width = min(cap, max(PROBE_MIN_BITS, 1 << (2 * (suf - tau) - 1).bit_length()))
-    while (found := _probe_stop(u, tau, width)) is None:
+    width = max(PROBE_MIN_BITS, suf - tau)
+    while True:
+        stop, d, rows = _probe_fill(u, tau, width)
+        if stop is not None:
+            break
         # D_1 within the width is a miss, which no wider probe changes
-        if sum(u) - tau <= width or width >= cap:
+        if d <= width or width >= cap:
             return None
-        width = min(4 * width, cap)
-    stop, d = found
-    return width, stop, _probe_witness(u, stop, d)
-
-
-def _probe_stop(u, tau: int, width: int) -> tuple[int, int] | None:
-    """(stop, D_stop) of a probe at width, keeping no row; None when D_k
-    passes the width, or row 1 is reached, with no hit."""
-    mask = (1 << (width + 1)) - 1
-    row = 1
-    d = -tau
-    for k in range(len(u), 0, -1):
-        w = u[k - 1]
-        if w <= width:
-            row = (row | row << w) & mask
-        d += w
-        if d > width:
-            return None
-        if d >= 0 and row >> d & 1:
-            return k, d
-    return None
-
-
-def _probe_witness(u, stop: int, d: int) -> tuple[int, ...]:
-    """The witness of tau from row stop, where D = d: rows stop+1..n+1 are
-    filled again on bits [0, d] alone, since D only falls along the walk.
-    Item k is taken iff D - u_k is not in row k+1, which is the test
-    "sigma is not in row k+1" of ReachTable.witness; when it is not taken,
-    D drops by u_k."""
-    mask = (1 << (d + 1)) - 1
-    rows = [1]
-    for w in reversed(u[stop:]):
-        rows.append((rows[-1] | rows[-1] << w) & mask)
+        width = min(cap, max(2 * width, d))
+    # item k is taken iff D - u_k is not in row k+1 (ReachTable.witness's
+    # "sigma is not in row k+1"); when it is not taken, D drops by u_k
     x = [0] * len(u)
     for k, row in zip(range(stop, len(u) + 1), reversed(rows)):
         rest = d - u[k - 1]
@@ -299,7 +273,30 @@ def _probe_witness(u, stop: int, d: int) -> tuple[int, ...]:
         else:
             d = rest
     assert d == 0
-    return tuple(x)
+    return width, stop, tuple(x)
+
+
+def _probe_fill(u, tau: int, width: int) -> tuple[int | None, int, list[int]]:
+    """(stop, D, rows) of one probe fill at width: stop is the row that
+    attains tau and rows are rows n+1..stop+1, each masked to [0, width];
+    stop is None, and rows empty, when D passes the width (a give-up) or
+    row 1 is passed (a miss).  D is D at the last row filled."""
+    mask = (1 << (width + 1)) - 1
+    rows = []
+    row = 1
+    d = -tau
+    for k in range(len(u), 0, -1):
+        rows.append(row)
+        w = u[k - 1]
+        if w <= width:
+            row = (row | row << w) & mask
+        d += w
+        if d > width:
+            break
+        if d >= 0 and row >> d & 1:
+            return k, d, rows
+    # the rows of a fill without a hit are dropped before a wider one runs
+    return None, d, []
 
 
 def dp_run(u, tau: int, *, budget_cells: int | None = None) -> DpRun:

@@ -11,6 +11,7 @@ Gray-code oracle at small n.
 """
 
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -62,13 +63,13 @@ def table_path(q):
 def _probe_calls(monkeypatch):
     """The widths center_probe fills rows at, in order."""
     widths = []
-    inner = dp._probe_stop
+    inner = dp._probe_fill
 
     def counted(u, tau, width):
         widths.append(width)
         return inner(u, tau, width)
 
-    monkeypatch.setattr(dp, "_probe_stop", counted)
+    monkeypatch.setattr(dp, "_probe_fill", counted)
     return widths
 
 
@@ -105,7 +106,8 @@ def test_probe_matches_the_table_path(rows, monkeypatch):
 
 
 def test_planted_decision_builds_no_table(monkeypatch):
-    # a probe that grows once, and wide rows on the table path
+    # a probe that doubles once at n = 96, one that starts at d0 = 9766 at
+    # n = 512, and wide rows on the table path
     widths = _probe_calls(monkeypatch)
     for n, seed in ((96, 2), (512, 0)):
         q = quantize(gen_planted(n, 16, seed), big_n=4 * n * n)
@@ -122,17 +124,18 @@ def test_planted_decision_builds_no_table(monkeypatch):
             scan = solve_family(q)
         assert built == []
         assert scan.targets_scanned == 1 and scan.hit[1] == want[3]
-    assert widths[:2] == [4096, 16384] and len(widths) == 3
+    assert widths == [4096, 8192, 9766]
 
 
 def test_give_up_grows_the_width_then_falls_back(monkeypatch):
     # row 2 reaches tau = 2^20 - 1 with D = 1, but only row 1 attains it, at
-    # D = 2^20, above the cap tau // 8
+    # D = 2^20, above the cap tau // 8: the give-up there grows W to
+    # max(2W, 2^20), which the cap clips, and the fill at the cap gives up
     u = (2**20 - 1, 2**19, 2**19)
     tau = 2**20 - 1
     widths = _probe_calls(monkeypatch)
     assert center_probe(u, tau, tau) is None
-    assert widths == [4096, 16384, 65536, tau // 8]
+    assert widths == [4096, tau // 8]
     assert dp_run(u, tau).x == (1, 0, 0)
 
 
@@ -160,8 +163,9 @@ def test_the_gate_skips_the_probe_in_o_n(monkeypatch, u, tau, top):
     ((7,), 7, 2**15, (4096, 1, (1,))),                      # n = 1, D = 0 at row 1
     ((3, 5), 0, 2**15, (4096, 2, (0, 0))),                  # tau = 0 stops at row n
     ((1, 2**20, 5), 2**20 + 1, 2**21, (4096, 1, (1, 1, 0))),  # an item wider than W
-    # d0 = 3000 asks for 8192 bits, above the cap 5000: W starts at the cap
-    ((1000, 2**20, 4000), 2**20 + 1000, 40000, (5000, 1, (1, 1, 0))),
+    # d0 = 3500: W starts at 2^12, gives up at D_1 = 4500 and grows to the
+    # cap 5000, below 2 * 2^12
+    ((1000, 2**20, 4500), 2**20 + 1000, 40000, (5000, 1, (1, 1, 0))),
 ])
 def test_edge_cases(u, tau, top, want):
     assert center_probe(u, tau, top) == want
@@ -186,3 +190,70 @@ def test_dp_run_and_the_probe_match_the_gray_code_oracle(rows):
             # the cap 2^17 is above every D here: the probe never gives up
             probe = center_probe(tuple(u), tau, 2**20)
             assert (probe and probe[2]) == want, (u, tau)
+
+
+def _quantized(kind, n, big_n, seed):
+    inst = gen_planted(n, 16, seed) if kind == "planted" else gen_random(n, 16, seed)
+    try:
+        return quantize(inst, big_n=big_n)
+    except QuantizationUnderflow:
+        return None
+
+
+def test_the_width_schedule(monkeypatch):
+    # W starts at max(2^12, d0), capped; after a give-up at D it is at least
+    # 2W and at least D, capped, and the last fill finds tau
+    fills = []
+    inner = dp._probe_fill
+
+    def counted(u, tau, width):
+        fills.append((width, inner(u, tau, width)))
+        return fills[-1][1]
+
+    monkeypatch.setattr(dp, "_probe_fill", counted)
+    gave_up = 0
+    for kind in ("planted", "random"):
+        for n, big_n in ((96, 96**3), (128, 4 * 128**2), (512, 4 * 512**2)):
+            for seed in range(3):
+                q = _quantized(kind, n, big_n, seed)
+                if q is None:
+                    continue
+                tau, top = q.total_u // 2, family_window(q.total_u, q.n).window[-1]
+                cap = top // dp.PROBE_SHARE
+                d0 = next(s for s in accumulate(reversed(q.u)) if s >= tau) - tau
+                fills.clear()
+                width, stop, _ = center_probe(q.u, tau, top)
+                assert fills[0][0] == min(cap, max(dp.PROBE_MIN_BITS, d0))
+                for (w, (s, d, _)), (grown, _) in zip(fills, fills[1:]):
+                    assert s is None and d > w
+                    assert grown == min(cap, max(2 * w, d))
+                assert fills[-1][1][0] == stop and fills[-1][0] == width
+                gave_up += len(fills) - 1
+    assert gave_up >= 10
+
+
+@pytest.mark.parametrize("n, scales", [
+    (96, ("N=n^2", "N=4n^2", "c=3")),
+    (256, ("N=n^2", "N=4n^2")),
+    (512, ("N=n^2", "N=4n^2")),
+])
+def test_probe_matches_the_early_stop_table(monkeypatch, n, scales):
+    # planted and random 16-bit weights at the benchmark's scales, where the
+    # probe starts at 2^12 or d0 and gives up on some seeds before it hits
+    widths = _probe_calls(monkeypatch)
+    gave_up = 0
+    for kind in ("planted", "random"):
+        for scale in scales:
+            big_n = {"N=n^2": n * n, "N=4n^2": 4 * n * n, "c=3": n**3}[scale]
+            for seed in range(3):
+                q = _quantized(kind, n, big_n, seed)
+                if q is None:
+                    continue
+                center, top, stopped_at, x = table_path(q)
+                assert center == q.total_u // 2
+                widths.clear()
+                probe = center_probe(q.u, center, top)
+                gave_up += len(widths) > 1
+                assert probe is not None, (kind, scale, seed)
+                assert probe[1:] == (stopped_at, x), (kind, scale, seed)
+    assert gave_up > 0
