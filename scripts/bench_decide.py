@@ -13,19 +13,24 @@ For each it times the whole decision, `solve_family` (decide_ms), and
 records the position of its hit (targets_scanned).  It times the steps the
 CLI runs around that decision too: `read_instance` of the instance file
 (read_ms), `quantize` (quantize_ms), and `dumps_json` of the verdict as
-`decide-slab` writes it (emit_ms).  On a tree with the complement probe,
-`center_probe`, it records on how many seeds the probe answered the
-decision (probe_answered), the widest row it filled, in bits
-(probe_width), its time (probe_ms) and the row fills it ran over all seeds
-(probe_fills): each fill of the stop search and, on trees that fill the
-rows again for the witness walk, that refill; all four are null on a tree
-without a probe.  Then it builds the table solve_family falls back to,
+`decide-slab` writes it (emit_ms).  It records on how many seeds the
+complement probe, `center_probe`, answered the decision (probe_answered),
+the widest row it filled, in bits (probe_width), its time (probe_ms) and
+the row fills it ran over all seeds (probe_fills).  Then it builds the
+table solve_family falls back to,
 times the fill and the walk of the hit's witness apart, and records the
 checkpoints stored, the megabytes of row storage the table holds after the
 walk, and the bits the walk rebuilds (rows re-derived times the width of
 each); the walk columns are null when nothing hits.  Each time is the
 median of REPEATS runs, and each figure the median over seeds 0..4, but
-probe_answered and probe_fills, sums, and probe_width, a maximum.
+probe_answered, probe_fills and hits, sums, and probe_width, a maximum.
+
+Exact rows time `dp_run`, the decision `solve-exact` makes, on raw 16-bit
+weights at n in {128, 256, 512} (exact_ms): planted and random instances
+at tau = sum // 2, and an unattained target, the odd tau = sum // 2 | 1 of
+random weights rounded up to even.  They record on how many seeds a
+subset attains tau (hits) and on how many the complement probe answered
+inside dp_run (probe_answered).
 
 Probe-only rows, at planted n in {128, 256} and N = n^3, run center_probe
 alone, where the CLI's budget refuses the table: each seed in a fresh
@@ -33,13 +38,13 @@ interpreter, which records its peak RSS (VmHWM, which unlike ru_maxrss
 starts afresh at exec) before the probe (rss_base_mb) and after it
 (rss_mb, the maximum over seeds).
 
-    PYTHONPATH=src python scripts/bench_decide.py --before 15e1e59
+    PYTHONPATH=src python scripts/bench_decide.py --before HEAD^
 
-measures the tree in src/ as "after" and the src/ of git revision 15e1e59
+measures the tree in src/ as "after" and the src/ of git revision HEAD^
 as "before" and writes both to BENCH_decide.json (see benchlib.py).  It
-reads only names both trees have, but the probe's, which it looks up
-(center_probe and the fills count_fills names): the table's stored rows in
-`checkpoints`, and `attained()`.
+reads only names every tree since 73a47db has: `center_probe`,
+`_probe_fill`, `dp_run`, the table's stored rows in `checkpoints`, and
+`attained()`.
 """
 
 from __future__ import annotations
@@ -82,27 +87,24 @@ def walk_bits(table, tau, x) -> int:
 
 
 def held_mb(table) -> float:
-    """Megabytes of stored rows: Python ints, or, on trees with a numpy row
-    kernel, (first word, words) band slices."""
-    rows = [r[1] if isinstance(r, tuple) else r for r in table.checkpoints.values()]
-    return sum(getattr(r, "nbytes", None) or sys.getsizeof(r) for r in rows) / 2**20
+    """Megabytes of the table's stored rows, Python ints."""
+    return sum(map(sys.getsizeof, table.checkpoints.values())) / 2**20
+
+
+def recorded(dp, name, call) -> tuple:
+    """call()'s result, and the results of the calls of dp.name it made."""
+    results = []
+    inner = getattr(dp, name)
+    setattr(dp, name, lambda *args: results.append(inner(*args)) or results[-1])
+    try:
+        return call(), results
+    finally:
+        setattr(dp, name, inner)
 
 
 def count_fills(dp, call) -> int:
-    """The row fills the probe runs in call(): calls of its stop-search fill
-    (`_probe_fill`, or `_probe_stop` on older trees) and of the witness
-    refill (`_probe_witness`) on trees that have one."""
-    fills = []
-    saved = {name: getattr(dp, name) for name in ("_probe_fill", "_probe_stop", "_probe_witness")
-             if hasattr(dp, name)}
-    for name, inner in saved.items():
-        setattr(dp, name, lambda *args, inner=inner: fills.append(1) or inner(*args))
-    try:
-        call()
-    finally:
-        for name, inner in saved.items():
-            setattr(dp, name, inner)
-    return len(fills)
+    """The row fills, `_probe_fill` calls, the probe runs in call()."""
+    return len(recorded(dp, "_probe_fill", call)[1])
 
 
 def median_ms(call):
@@ -134,11 +136,8 @@ def measure_case(kind: str, n: int, big_n: int, seed: int) -> dict:
     fam = family_window(q.total_u, q.n)
     order = sorted(fam.window, key=lambda tau: (abs(2 * tau - q.total_u), tau))
     decide_ms, scan = median_ms(lambda: solve_family(q))
-    probe = getattr(dp, "center_probe", None)
-    probe_ms = answer = fills = None
-    if probe:
-        probe_ms, answer = median_ms(lambda: probe(q.u, order[0], fam.window[-1]))
-        fills = count_fills(dp, lambda: probe(q.u, order[0], fam.window[-1]))
+    probe_ms, answer = median_ms(lambda: dp.center_probe(q.u, order[0], fam.window[-1]))
+    fills = count_fills(dp, lambda: dp.center_probe(q.u, order[0], fam.window[-1]))
 
     fill_ms, walk_ms = [], []
     for _ in range(REPEATS):
@@ -160,13 +159,40 @@ def measure_case(kind: str, n: int, big_n: int, seed: int) -> dict:
         assert scan.hit == (fam.t_of(tau), x)
     return {"read_ms": read_ms, "quantize_ms": quantize_ms, "decide_ms": decide_ms,
             "emit_ms": emit_ms, "targets_scanned": scan.targets_scanned,
-            "probe_answered": None if probe is None else int(answer is not None),
-            "probe_width": None if probe is None else answer[0] if answer else 0,
+            "probe_answered": int(answer is not None),
+            "probe_width": answer[0] if answer else 0,
             "probe_ms": probe_ms, "probe_fills": fills,
             "fill_ms": statistics.median(fill_ms),
             "walk_ms": None if tau is None else statistics.median(walk_ms),
             "checkpoints": len(table.checkpoints), "held_mb": held_mb(table),
             "walk_bits": None if tau is None else walk_bits(table, tau, x)}
+
+
+def exact_input(kind: str, n: int, seed: int) -> tuple[tuple[int, ...], int]:
+    """(weights, tau) of an exact row: raw 16-bit planted or random weights
+    at sum // 2, or random ones rounded up to even at the odd sum // 2 | 1."""
+    from slabsum.instance import gen_planted, gen_random
+
+    if kind == "planted":
+        u = gen_planted(n, 16, seed).weights
+    else:
+        u = gen_random(n, 16, seed).weights
+    if kind == "unattained":
+        u = tuple(w + w % 2 for w in u)
+        return u, sum(u) // 2 | 1
+    return u, sum(u) // 2
+
+
+def exact_case(kind: str, n: int, seed: int) -> dict:
+    """dp_run on an exact row's input: its time, whether tau is attained,
+    and whether the complement probe answered inside it."""
+    from slabsum import dp
+
+    u, tau = exact_input(kind, n, seed)
+    (exact_ms, run), probes = recorded(dp, "center_probe",
+                                       lambda: median_ms(lambda: dp.dp_run(u, tau)))
+    return {"exact_ms": exact_ms, "hits": int(run.x is not None),
+            "probe_answered": int(any(probe is not None for probe in probes))}
 
 
 def peak_rss_mb() -> float:
@@ -206,7 +232,8 @@ def probe_only(n: int, big_n: int, seed: int) -> dict:
     return json.loads(out.stdout)
 
 
-MERGE = {"probe_answered": sum, "probe_fills": sum, "probe_width": max, "rss_mb": max}
+MERGE = {"probe_answered": sum, "probe_fills": sum, "hits": sum, "probe_width": max,
+         "rss_mb": max}
 
 
 def measure() -> list[dict]:
@@ -214,10 +241,16 @@ def measure() -> list[dict]:
              for scale, big_n in (("c=2", n * n), ("N=4n^2", 4 * n * n))]
     cases += [("dominated", n, "c=3", n ** 3) for n in DOMINATED_SIZES]
     cases += [("planted probe only", n, "N=n^3", n ** 3) for n in PROBE_ONLY_SIZES]
+    cases += [(f"{kind} exact", n, "raw", None) for kind in ("planted", "random", "unattained")
+              for n in SIZES]
     rows = []
     for kind, n, scale, big_n in cases:
-        runs = [probe_only(n, big_n, seed) if kind.endswith("probe only")
-                else measure_case(kind, n, big_n, seed) for seed in SEEDS]
+        if kind.endswith("probe only"):
+            runs = [probe_only(n, big_n, seed) for seed in SEEDS]
+        elif kind.endswith("exact"):
+            runs = [exact_case(kind.split()[0], n, seed) for seed in SEEDS]
+        else:
+            runs = [measure_case(kind, n, big_n, seed) for seed in SEEDS]
         row = {"kind": kind, "n": n, "scale": scale, "big_n": big_n, "seeds": len(runs)}
         for key in runs[0]:
             values = [r[key] for r in runs]

@@ -10,11 +10,11 @@ Python int holding only the slice of bits the walk can read there,
 no row other than a checkpoint is ever stored.
 
 Bits at or below tau of a row do not depend on the cap once cap >= tau, so
-solve_family answers the whole shifted-target window from one table filled
-to the window top (the bitset-row formulation of subset sum; Pisinger,
-J. Algorithms 1999; Bringmann, SODA 2017).  dp_run answers one target, the
-window [tau, tau], and attainable_witnesses every target of the window its
-caller gives.
+one table filled to the window top answers every target of a window (the
+bitset-row formulation of subset sum; Pisinger, J. Algorithms 1999;
+Bringmann, SODA 2017).  nearest_attained decides solve_family's
+shifted-target window and dp_run's window [tau, tau] by the target nearest
+their center; attainable_witnesses answers every target of its window.
 
 Every table is banded by its window [lo, hi]: of row k only
 band(k) = [max(0, lo - P(k-1)), min(hi, Suf(k))] can matter, P(k-1) the
@@ -31,19 +31,15 @@ checkpoint is the row itself, since ints are immutable.  A row holds every
 attainable sum below its band too, so the band bounds what a decision
 reads, and what `cells` counts, not what the fill computes.
 
-Before any table, solve_family tries the complement probe on the target
-it looks at first, the center of the window.  Subset sums are symmetric:
-tau is in row k iff D_k = Suf(k) - tau is, and bits [0, W] of row k depend
-only on bits [0, W] of row k+1, so rows masked to [0, W] decide it exactly
-while D_k <= W (balancing around the break solution, in the spirit of
-Pisinger 1999).  One fill finds the stop row and keeps the rows below it
-for the witness walk.  W starts at D at the first row that can reach tau,
-at least 2^12, and a give-up where D passes W refills at max(2W, D), so
-the kept rows are under 2 max(D_stop, 2^12) bits wide: tens of thousands
-on planted instances, against a window top of millions.  W never passes a
-fixed share of the window top; past it, and when tau is not attained, the
-table answers as before.  The budget is checked before either.  dp_run
-builds its table directly, so it stays an independent reference.
+Before any table, nearest_attained tries the complement probe on the
+center of its window.  Subset sums are symmetric: tau is in row k iff
+D_k = Suf(k) - tau is, and bits [0, W] of row k depend only on bits [0, W]
+of row k+1, so rows masked to [0, W] decide it exactly while D_k <= W
+(balancing around the break solution, in the spirit of Pisinger 1999).
+On planted instances W is tens of thousands of bits, against a window top
+of millions; center_probe sets it.  When the probe is skipped or gives up,
+or tau is not attained, the table answers, so an unattained target pays
+for the probe and the table.  The budget is checked before either.
 """
 
 from __future__ import annotations
@@ -97,8 +93,8 @@ def check_budget(cells: int, budget_cells: int | None = None) -> None:
 
 @dataclass(frozen=True)
 class DpRun:
-    """One decision run: verdict, witness (None when tau is not attained),
-    and table-work accounting."""
+    """One decision run: its witness (None when tau is not attained) and
+    the band cells of its table, 0 when no table was built."""
 
     x: tuple[int, ...] | None
     cells: int
@@ -227,10 +223,11 @@ class ReachTable:
 
 def center_probe(u: tuple[int, ...], tau: int, top: int
                  ) -> tuple[int, int, tuple[int, ...]] | None:
-    """(width, stop, x) when the complement probe finds tau: stop is the
-    first row, filling from n down, that attains tau (a ReachTable's
-    stopped_at), x the lexicographically smallest witness and width the
-    probe's row width in bits; None when it gives up or tau is not attained.
+    """(width, stop, x) when the complement probe finds tau, any target up
+    to top: stop is the first row, filling from n down, that attains tau (a
+    ReachTable's stopped_at), x the lexicographically smallest witness and
+    width the probe's row width in bits; None when it is skipped, gives up
+    or tau is not attained.  Its callers pass the window center as tau.
 
     tau is in row k iff D_k = Suf(k) - tau is, and bits [0, W] of row k
     depend only on bits [0, W] of row k+1, so Python-int rows masked to
@@ -301,24 +298,14 @@ def _probe_fill(u, tau: int, width: int) -> tuple[int | None, int, list[int]]:
 
 def dp_run(u, tau: int, *, budget_cells: int | None = None) -> DpRun:
     """Decide whether a subset of u sums to tau, and if so give the
-    lexicographically smallest solution vector.
-
-    The table is banded by the window [tau, tau], and its fill stops at the
-    first row whose sums reach tau.  The budget counts (n+1)*(tau+1) cells.
-    Unlike solve_family, it runs no complement probe first.
-    """
+    lexicographically smallest solution vector: nearest_attained on the
+    window [tau, tau], so the probe first and, when it does not answer, an
+    early-stopped table.  The budget counts (n+1)*(tau+1) cells."""
     u = tuple(u)
-    n = len(u)
     if tau < 0 or tau > sum(u):
         return DpRun(None, 0)
-    if tau == 0:
-        return DpRun((0,) * n, 0)
-
-    table = ReachTable(u, tau, budget_cells=budget_cells, early_stop_bit=tau,
-                       window_lo=tau)
-    if table.stopped_at is None:  # no row, row 1 included, reached tau
-        return DpRun(None, table.cells)
-    return DpRun(table.witness(tau), table.cells)
+    _, x, table = nearest_attained(u, tau, tau, 2 * tau, budget_cells=budget_cells)
+    return DpRun(x, 0 if table is None else table.cells)
 
 
 def dp_decide(u, tau: int, *, budget_cells: int | None = None) -> tuple[int, ...] | None:
@@ -371,38 +358,46 @@ class FamilyScan:
     targets_scanned: int
 
 
-def solve_family(q: QuantizedNormal, *, budget_cells: int | None = None) -> FamilyScan:
-    """Find the window target nearest half the quantized total that some
-    subset attains, with its lexicographically smallest witness.
+def _center_out(total: int):
+    """Center-out order: by distance from total/2, the lower first on a tie."""
+    return lambda t: (abs(2 * t - total), t)
 
-    Targets are taken center-out: by distance from total/2, the lower one
-    first on a tie.  The budget is checked first, for (n+1)*(hi+1) cells,
-    before any row is allocated.  center_probe then looks for the first
-    target on narrow rows; a hit is the answer, with targets_scanned = 1.
-    When the probe is skipped, gives up or misses, one ReachTable capped at
-    the window top hi answers every target.  Its fill stops as soon as the
-    first target's bit appears, otherwise it runs to row 1; the hit is the
-    first target in center-out order that the last row filled attains,
-    found without sorting the window.  targets_scanned is the hit's 1-based
-    position in that order, or the window size when nothing hits.
-    """
+
+def nearest_attained(u: tuple[int, ...], lo: int, hi: int, total: int, *,
+                     budget_cells: int | None = None
+                     ) -> tuple[int | None, tuple[int, ...] | None, ReachTable | None]:
+    """(tau, x, table): the target of [lo, hi], which must hold total // 2,
+    nearest total/2 (the lower on a tie) that a subset of u attains, its
+    lexicographically smallest witness and the table built, None when the
+    probe answered; tau and x are None when no target is attained.
+
+    The budget is checked first, for (n+1)*(hi+1) cells.  center_probe then
+    looks for total // 2; a hit is the answer.  Otherwise one ReachTable
+    capped at hi, whose fill stops once total // 2 appears, answers every
+    target from the last row it filled."""
+    check_budget((len(u) + 1) * (hi + 1), budget_cells)
+    probe = center_probe(u, total // 2, hi)
+    if probe is not None:
+        return total // 2, probe[2], None
+    table = ReachTable(u, hi, budget_cells=budget_cells, early_stop_bit=total // 2,
+                       window_lo=lo)
+    # only window targets count, whatever low end the table keeps
+    tau = min((t for t in table.attained() if t >= lo), key=_center_out(total), default=None)
+    return tau, None if tau is None else table.witness(tau), table
+
+
+def solve_family(q: QuantizedNormal, *, budget_cells: int | None = None) -> FamilyScan:
+    """The window target nearest half the quantized total that some subset
+    attains, with its lexicographically smallest witness (nearest_attained
+    on the window).  targets_scanned is the hit's 1-based position in
+    center-out order, or the window size when nothing hits."""
     total = q.total_u
     fam = family_window(total, q.n)
-    check_budget((q.n + 1) * (fam.window[-1] + 1), budget_cells)
-    # total // 2 is always in the window, and first in center-out order
-    probe = center_probe(q.u, total // 2, fam.window[-1])
-    if probe is not None:
-        return FamilyScan(fam, (fam.t_of(total // 2), probe[2]), 1)
-    lo = fam.window[0]
-    table = ReachTable(q.u, fam.window[-1], budget_cells=budget_cells,
-                       early_stop_bit=total // 2, window_lo=lo)
-
-    def key(t):
-        return abs(2 * t - total), t
-
-    # only window targets count, whatever low end the table keeps
-    tau = min((t for t in table.attained() if t >= lo), key=key, default=None)
+    tau, x, _ = nearest_attained(q.u, fam.window[0], fam.window[-1], total,
+                                 budget_cells=budget_cells)
     if tau is None:
         return FamilyScan(fam, None, len(fam.window))
-    ahead = sum(key(t) < key(tau) for t in fam.window)
-    return FamilyScan(fam, (fam.t_of(tau), table.witness(tau)), ahead + 1)
+    key = _center_out(total)
+    # total // 2, the probe's answer, is first: it needs no count
+    ahead = 0 if tau == total // 2 else sum(key(t) < key(tau) for t in fam.window)
+    return FamilyScan(fam, (fam.t_of(tau), x), ahead + 1)

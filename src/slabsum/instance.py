@@ -396,6 +396,9 @@ def instance_from_json(doc: dict) -> Instance:
     planted = meta.get("planted_x")
     if planted is not None:
         planted = _json_ints(_list(planted, "meta.planted_x"), "meta.planted_x")
+    n = meta.get("n")
+    if n is not None:
+        _json_int(n, "meta.n")
 
     if kind == "sssp":
         if "weight_rows" not in doc:
@@ -408,11 +411,10 @@ def instance_from_json(doc: dict) -> Instance:
             raise ParseError('missing "rho"')
         if "delta" not in doc:
             raise ParseError('missing "delta"')
-        return _build(SsspInstance, rows, rho=_fraction_obj(doc["rho"], "rho"),
+        inst = _build(SsspInstance, rows, rho=_fraction_obj(doc["rho"], "rho"),
                       delta=_fraction_obj(doc["delta"], "delta"),
                       m=m, seed=seed, planted_x=planted)
-
-    if kind in ("ssp", "partition"):
+    elif kind in ("ssp", "partition"):
         if "weights" not in doc:
             raise ParseError('missing "weights"')
         weights = _int_strs(_list(doc["weights"], "weights"), "weights")
@@ -420,10 +422,16 @@ def instance_from_json(doc: dict) -> Instance:
             if "target" not in doc:
                 raise ParseError('missing "target"')
             target = _int_str(doc["target"], "target")
-            return _build(SspInstance, weights, target=target, m=m, seed=seed)
-        return _build(PartitionInstance, weights, m=m, seed=seed, planted_x=planted)
-
-    raise ParseError(f'unknown "kind": {kind!r}')
+            inst = _build(SspInstance, weights, target=target, m=m, seed=seed)
+        else:
+            inst = _build(PartitionInstance, weights, m=m, seed=seed, planted_x=planted)
+    else:
+        raise ParseError(f'unknown "kind": {kind!r}')
+    # meta.n is only a copy of the weight count (the row length for sssp)
+    if n is not None and n != inst.n:
+        raise ParseError(f"meta.n: {n} does not match the {inst.n} weights"
+                         + (" per row" if kind == "sssp" else ""))
+    return inst
 
 
 def dumps_instance(inst: Instance) -> str:

@@ -6,8 +6,9 @@ end in the window.  A table over [0, hi] keeps band [0, min(hi, Suf(k))],
 which holds every attainable sum up to the cap: the unbanded rows.  Every
 answer read from a banded table must equal the one the [0, hi] table and
 the per-target scan give.  The [0, hi] reference
-runs with the complement probe off, and the per-target scan goes through
-dp_run, which has none, so both always read a table.
+runs with the complement probe off, and the per-target scan builds one
+table per target with test_dp.table_decide, which has none, so both always
+read a table.
 """
 
 import math

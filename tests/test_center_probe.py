@@ -1,13 +1,14 @@
 """The complement probe against the ReachTable early-stop path.
 
-solve_family first asks center_probe for the center target on narrow
-Python-int rows, using the symmetry "tau is in row k iff Suf(k) - tau is",
-and builds a table only when the probe is skipped, gives up or misses.
-With the probe switched off it runs the table path alone, which is the
+Every decision (solve_family on its window, dp_run on its one target)
+first asks center_probe for the center target on narrow Python-int rows,
+using the symmetry "tau is in row k iff Suf(k) - tau is", and builds a
+table only when the probe is skipped, gives up or misses.  With the probe
+switched off solve_family runs the table path alone, which is the
 reference here: both must give the same hit, witness and targets_scanned,
-and the probe's stop row must be the table's stopped_at.  dp_run, which
-builds its table directly, and the probe are also checked against the
-Gray-code oracle at small n.
+and the probe's stop row must be the table's stopped_at.  dp_run is
+checked against test_dp.table_decide, the table alone, on raw 16-bit
+weights, and with the probe against the Gray-code oracle at small n.
 """
 
 import random
@@ -20,6 +21,7 @@ from slabsum.dp import ReachTable, center_probe, dp_run, family_window, solve_fa
 from slabsum.instance import PartitionInstance, gen_planted, gen_random
 from slabsum.oracle import iter_vertex_sums
 from slabsum.quantize import QuantizationUnderflow, quantize
+from test_dp import table_decide
 
 
 def _cases(count: int):
@@ -179,7 +181,7 @@ def lex_smallest(u, tau):
     return min(xs) if xs else None
 
 
-def test_dp_run_and_the_probe_match_the_gray_code_oracle(rows):
+def _oracle_pass(probe_too: bool):
     rng = random.Random(11)
     for _ in range(40):
         n = rng.randint(1, 9)
@@ -187,9 +189,31 @@ def test_dp_run_and_the_probe_match_the_gray_code_oracle(rows):
         for tau in range(-1, sum(u) + 2, max(1, sum(u) // 60)):
             want = lex_smallest(u, tau)
             assert dp_run(u, tau).x == want, (u, tau)
-            # the cap 2^17 is above every D here: the probe never gives up
-            probe = center_probe(tuple(u), tau, 2**20)
-            assert (probe and probe[2]) == want, (u, tau)
+            if probe_too:
+                # the cap 2^17 is above every D here: the probe never gives up
+                probe = center_probe(tuple(u), tau, 2**20)
+                assert (probe and probe[2]) == want, (u, tau)
+
+
+def test_dp_run_and_the_probe_match_the_gray_code_oracle(rows, monkeypatch):
+    # dp_run's probe is skipped below tau = 8 * 2^12, nearly every target
+    # here, so its table answers; the second pass lets the probe run at a
+    # least width of 8 bits and a cap of tau // 2, where it answers some
+    # targets and gives up on some
+    _oracle_pass(probe_too=True)
+    fills = []
+    inner = dp._probe_fill
+
+    def counted(u, tau, width):
+        fills.append((width, inner(u, tau, width)))
+        return fills[-1][1]
+
+    monkeypatch.setattr(dp, "PROBE_MIN_BITS", 8)
+    monkeypatch.setattr(dp, "PROBE_SHARE", 2)
+    monkeypatch.setattr(dp, "_probe_fill", counted)
+    _oracle_pass(probe_too=False)
+    assert sum(stop is not None for _, (stop, _, _) in fills) >= 50
+    assert sum(stop is None and d > width for width, (stop, d, _) in fills) >= 100
 
 
 def _quantized(kind, n, big_n, seed):
@@ -257,3 +281,42 @@ def test_probe_matches_the_early_stop_table(monkeypatch, n, scales):
                 assert probe is not None, (kind, scale, seed)
                 assert probe[1:] == (stopped_at, x), (kind, scale, seed)
     assert gave_up > 0
+
+
+@pytest.mark.parametrize("n", [96, 256, 512])
+def test_dp_run_matches_the_table_only_decision(monkeypatch, n):
+    # raw 16-bit weights, where tau / 8 is far above 2^12 and dp_run's probe
+    # runs: the center and targets near it, a small D near the total, a
+    # quarter of the total, and an odd target of even weights, never attained
+    probes = []
+    inner = dp.center_probe
+
+    def recorded(*args):
+        probes.append(inner(*args))
+        return probes[-1]
+
+    monkeypatch.setattr(dp, "center_probe", recorded)
+    hits = answered = misses = 0
+    for kind in ("planted", "random"):
+        for seed in range(3):
+            inst = gen_planted(n, 16, seed) if kind == "planted" else gen_random(n, 16, seed)
+            u = inst.weights
+            total = sum(u)
+            even = tuple(w + w % 2 for w in u)
+            cases = [(u, total // 2 + offset) for offset in (0, -1, 1, -7, 12)]
+            cases += [(u, total - min(u)), (u, total // 4), (even, sum(even) // 2 | 1)]
+            for w, tau in cases:
+                probes.clear()
+                got = dp_run(w, tau)
+                want = table_decide(w, tau)
+                assert got.x == want, (kind, seed, tau)
+                assert (got.cells == 0) == (probes[0] is not None)
+                if want is None:
+                    misses += 1
+                    assert probes == [None]
+                else:
+                    hits += 1
+                    answered += probes[0] is not None
+    assert misses >= 6
+    # the probe answers most hits; the table takes the rest
+    assert answered > 0.8 * hits

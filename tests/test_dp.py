@@ -13,6 +13,18 @@ from slabsum.oracle import all_subset_sums
 from slabsum.quantize import quantize
 
 
+def table_decide(u, tau, *, budget_cells=None):
+    """The single-target decision on a table alone, without the complement
+    probe: one table banded by [tau, tau] whose fill stops at the first row
+    that reaches tau; the reference dp_run and the per-target scans are
+    checked against."""
+    u = tuple(u)
+    if tau < 0 or tau > sum(u):
+        return None
+    table = ReachTable(u, tau, budget_cells=budget_cells, early_stop_bit=tau, window_lo=tau)
+    return table.witness(tau) if tau in table.attained() else None
+
+
 def test_hand_examples():
     assert dp_decide([1, 1, 2], 2) == (0, 0, 1)
     assert dp_decide([3, 5], 4) is None
@@ -126,7 +138,8 @@ def test_early_stop_and_full_rows_agree(rows):
     for tau in range(0, sum(u) + 1, 7):
         slow = ReachTable(u, tau)
         reachable = tau in slow.attained()
-        # window_lo = tau is the table dp_run builds
+        # window_lo = tau is the table of table_decide, and of dp_run when
+        # the probe does not answer
         for lo in (0, tau):
             fast = ReachTable(u, tau, early_stop_bit=tau, window_lo=lo)
             assert (fast.stopped_at is not None) == reachable

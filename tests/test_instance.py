@@ -147,6 +147,7 @@ MALFORMED = [
     ({"kind": "sssp", "weight_rows": [["1", "2"]], "rho": {"num": "1", "den": "1"},
       "delta": {"num": "1", "den": "1"}, "meta": {"planted_x": [5]}}, "planted_x length"),
     (SSSP_OVER_M, r"weight_rows\[0\]\[0\] = 1000 exceeds 2 bits"),
+    ({"kind": "partition", "weights": ["3", "4", "5"], "meta": {"n": 7}}, "meta.n: 7 does not"),
 ]
 
 
@@ -214,6 +215,16 @@ PARSE_ERRORS = [
     (_row_doc("+1", 511, 512), "weight_rows[1][511]: not a decimal integer: '+1'"),
     (_planted_doc(False, 511, 512), "meta.planted_x[511]: expected an integer, got bool"),
     (_planted_doc(2, 511, 512), "planted_x must be 0/1"),
+    # meta.n, when given, is an integer equal to the weight count
+    ({"kind": "partition", "weights": ["3", "4", "5"], "meta": {"n": 7}},
+     "meta.n: 7 does not match the 3 weights"),
+    ({"kind": "partition", "weights": ["3", "4", "5"], "meta": {"n": "x"}},
+     "meta.n: expected an integer, got str"),
+    ({"kind": "partition", "weights": ["3"], "meta": {"n": True}},
+     "meta.n: expected an integer, got bool"),
+    ({"kind": "ssp", "weights": ["3", "4"], "target": "3", "meta": {"n": 3}},
+     "meta.n: 3 does not match the 2 weights"),
+    ({**_row_doc("1"), "meta": {"n": 2}}, "meta.n: 2 does not match the 4 weights per row"),
 ]
 
 

@@ -1,10 +1,11 @@
 """The one-table window scan against the per-target scan it replaced.
 
 solve_family answers every target of the shifted window from one
-ReachTable.  The reference below runs one early-stopped DP per target in
-center-out order and stops at the first hit, which is how decisions were
-made before; both must agree on the hit, its witness, the scan position and
-the verdict bytes.
+ReachTable.  The reference below runs one early-stopped table per target
+(test_dp.table_decide, which runs no complement probe) in center-out order
+and stops at the first hit, which is how decisions were made before; both
+must agree on the hit, its witness, the scan position and the verdict
+bytes.
 """
 
 import math
@@ -13,17 +14,18 @@ import random
 import pytest
 
 from slabsum import dp, slab
-from slabsum.dp import BudgetError, FamilyScan, dp_decide, family_window, solve_family
+from slabsum.dp import BudgetError, FamilyScan, family_window, solve_family
 from slabsum.instance import PartitionInstance, gen_planted, gen_random
 from slabsum.quantize import QuantizationUnderflow, quantize
 from slabsum.slab import decide, dump_verdict
+from test_dp import table_decide
 
 
 def per_target_family(q, *, budget_cells=None) -> FamilyScan:
     fam = family_window(q.total_u, q.n)
     order = sorted(fam.window, key=lambda tau: (abs(2 * tau - q.total_u), tau))
     for pos, tau in enumerate(order, 1):
-        x = dp_decide(q.u, tau, budget_cells=budget_cells)
+        x = table_decide(q.u, tau, budget_cells=budget_cells)
         if x is not None:
             return FamilyScan(fam, (fam.t_of(tau), x), pos)
     return FamilyScan(fam, None, len(order))

@@ -70,7 +70,7 @@ def test_walk_matches_reference_on_seeded_instances(rows):
             assert table.witnesses(taus) == want, u
             assert [table.witness(tau) for tau in taus] == want, u
             assert ReachTable(u, hi).witnesses(taus) == want, u
-        # banded by [first, first] and early-stopped, as dp_run builds it
+        # banded by [first, first] and early-stopped: the single-target table
         if sum(u) >= first:
             single = ReachTable(u, first, early_stop_bit=first, window_lo=first)
             if single.stopped_at is not None:
