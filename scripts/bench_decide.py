@@ -16,9 +16,10 @@ CLI runs around that decision too: `read_instance` of the instance file
 `decide-slab` writes it (emit_ms).  It records on how many seeds the
 complement probe, `center_probe`, answered the decision (probe_answered),
 the widest row it filled, in bits (probe_width), its time (probe_ms) and
-the row fills it ran over all seeds (probe_fills).  Then it builds the
-table solve_family falls back to,
-times the fill and the walk of the hit's witness apart, and records the
+the row fills it ran over all seeds (probe_fills).  Then it runs
+`nearest_attained` with the probe patched out, so that it builds the table
+solve_family falls back to, and spies (benchlib.spy) that table's fill and
+the walk of the hit's witness: it times the two apart and records the
 checkpoints stored, the megabytes of row storage the table holds after the
 walk, and the bits the walk rebuilds (rows re-derived times the width of
 each); the walk columns are null when nothing hits.  Each time is the
@@ -42,9 +43,10 @@ starts afresh at exec) before the probe (rss_base_mb) and after it
 
 measures the tree in src/ as "after" and the src/ of git revision HEAD^
 as "before" and writes both to BENCH_decide.json (see benchlib.py).  It
-reads only names every tree since 73a47db has: `center_probe`,
-`_probe_fill`, `dp_run`, the table's stored rows in `checkpoints`, and
-`attained()`.
+calls and spies `nearest_attained`, `center_probe`, `_probe_fill`,
+`dp_run`, `ReachTable` and its `witness`, and reads the table's stored
+rows in `checkpoints`, so it reads any tree since 74b36c5, the first with
+`nearest_attained`.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import benchlib
 
@@ -91,20 +94,13 @@ def held_mb(table) -> float:
     return sum(map(sys.getsizeof, table.checkpoints.values())) / 2**20
 
 
-def recorded(dp, name, call) -> tuple:
-    """call()'s result, and the results of the calls of dp.name it made."""
-    results = []
-    inner = getattr(dp, name)
-    setattr(dp, name, lambda *args: results.append(inner(*args)) or results[-1])
-    try:
-        return call(), results
-    finally:
-        setattr(dp, name, inner)
+def probe_fills(u, tau: int, top: int) -> int:
+    """The row fills, `_probe_fill` calls, of one center_probe(u, tau, top)."""
+    from slabsum import dp
 
-
-def count_fills(dp, call) -> int:
-    """The row fills, `_probe_fill` calls, the probe runs in call()."""
-    return len(recorded(dp, "_probe_fill", call)[1])
+    with benchlib.spy(dp, "_probe_fill") as calls:
+        dp.center_probe(u, tau, top)
+    return len(calls["_probe_fill"])
 
 
 def median_ms(call):
@@ -119,7 +115,6 @@ def median_ms(call):
 
 def measure_case(kind: str, n: int, big_n: int, seed: int) -> dict:
     from slabsum import dp, slab
-    from slabsum.dp import ReachTable, family_window, solve_family
     from slabsum.instance import (PartitionInstance, dumps_json, gen_planted, read_instance,
                                   write_instance)
     from slabsum.quantize import quantize
@@ -133,25 +128,17 @@ def measure_case(kind: str, n: int, big_n: int, seed: int) -> dict:
     quantize_ms, q = median_ms(lambda: quantize(inst, big_n=big_n))
     verdict = slab.decide(inst, big_n=big_n)
     emit_ms, _ = median_ms(lambda: dumps_json(slab.verdict_to_json(verdict)))
-    fam = family_window(q.total_u, q.n)
-    order = sorted(fam.window, key=lambda tau: (abs(2 * tau - q.total_u), tau))
-    decide_ms, scan = median_ms(lambda: solve_family(q))
-    probe_ms, answer = median_ms(lambda: dp.center_probe(q.u, order[0], fam.window[-1]))
-    fills = count_fills(dp, lambda: dp.center_probe(q.u, order[0], fam.window[-1]))
+    fam = dp.family_window(q.total_u, q.n)
+    lo, hi, center = fam.window[0], fam.window[-1], q.total_u // 2
+    decide_ms, scan = median_ms(lambda: dp.solve_family(q))
+    probe_ms, answer = median_ms(lambda: dp.center_probe(q.u, center, hi))
 
-    fill_ms, walk_ms = [], []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        table = ReachTable(q.u, fam.window[-1], early_stop_bit=order[0],
-                           window_lo=fam.window[0])
-        t1 = time.perf_counter()
-        attained = set(table.attained())
-        tau = next((t for t in order if t in attained), None)
-        t2 = time.perf_counter()
-        x = None if tau is None else table.witness(tau)
-        t3 = time.perf_counter()
-        fill_ms.append((t1 - t0) * 1e3)
-        walk_ms.append((t3 - t2) * 1e3)
+    # the witness is spied first, while dp.ReachTable is still the class
+    with (mock.patch.object(dp, "center_probe", return_value=None),
+          benchlib.spy(dp.ReachTable, "witness") as walks,
+          benchlib.spy(dp, "ReachTable") as fills):
+        for _ in range(REPEATS):
+            tau, x, table = dp.nearest_attained(q.u, lo, hi, q.total_u)
     if tau is None:
         assert scan.hit is None
     else:
@@ -161,9 +148,10 @@ def measure_case(kind: str, n: int, big_n: int, seed: int) -> dict:
             "emit_ms": emit_ms, "targets_scanned": scan.targets_scanned,
             "probe_answered": int(answer is not None),
             "probe_width": answer[0] if answer else 0,
-            "probe_ms": probe_ms, "probe_fills": fills,
-            "fill_ms": statistics.median(fill_ms),
-            "walk_ms": None if tau is None else statistics.median(walk_ms),
+            "probe_ms": probe_ms, "probe_fills": probe_fills(q.u, center, hi),
+            "fill_ms": statistics.median(ms for ms, *_ in fills["ReachTable"]),
+            "walk_ms": None if tau is None else statistics.median(
+                ms for ms, *_ in walks["witness"]),
             "checkpoints": len(table.checkpoints), "held_mb": held_mb(table),
             "walk_bits": None if tau is None else walk_bits(table, tau, x)}
 
@@ -173,10 +161,7 @@ def exact_input(kind: str, n: int, seed: int) -> tuple[tuple[int, ...], int]:
     at sum // 2, or random ones rounded up to even at the odd sum // 2 | 1."""
     from slabsum.instance import gen_planted, gen_random
 
-    if kind == "planted":
-        u = gen_planted(n, 16, seed).weights
-    else:
-        u = gen_random(n, 16, seed).weights
+    u = (gen_planted if kind == "planted" else gen_random)(n, 16, seed).weights
     if kind == "unattained":
         u = tuple(w + w % 2 for w in u)
         return u, sum(u) // 2 | 1
@@ -189,10 +174,10 @@ def exact_case(kind: str, n: int, seed: int) -> dict:
     from slabsum import dp
 
     u, tau = exact_input(kind, n, seed)
-    (exact_ms, run), probes = recorded(dp, "center_probe",
-                                       lambda: median_ms(lambda: dp.dp_run(u, tau)))
+    with benchlib.spy(dp, "center_probe") as probes:
+        exact_ms, run = median_ms(lambda: dp.dp_run(u, tau))
     return {"exact_ms": exact_ms, "hits": int(run.x is not None),
-            "probe_answered": int(any(probe is not None for probe in probes))}
+            "probe_answered": int(any(p is not None for *_, p in probes["center_probe"]))}
 
 
 def peak_rss_mb() -> float:
@@ -205,21 +190,16 @@ def probe_only_case(n: int, big_n: int, seed: int) -> dict:
     """center_probe alone on a planted instance, in this interpreter; run
     it in a fresh one (probe_only) for a peak RSS that is the probe's."""
     from slabsum import dp
-    from slabsum.dp import family_window
     from slabsum.instance import gen_planted
     from slabsum.quantize import quantize
 
     q = quantize(gen_planted(n, 16, seed), big_n=big_n)
-    top = family_window(q.total_u, q.n).window[-1]
-
-    def call():
-        return dp.center_probe(q.u, q.total_u // 2, top)
-
+    top = dp.family_window(q.total_u, q.n).window[-1]
     base = peak_rss_mb()
-    probe_ms, answer = median_ms(call)
+    probe_ms, answer = median_ms(lambda: dp.center_probe(q.u, q.total_u // 2, top))
     rss = peak_rss_mb()
     return {"probe_answered": int(answer is not None), "probe_width": answer[0] if answer else 0,
-            "probe_ms": probe_ms, "probe_fills": count_fills(dp, call),
+            "probe_ms": probe_ms, "probe_fills": probe_fills(q.u, q.total_u // 2, top),
             "rss_base_mb": base, "rss_mb": rss}
 
 

@@ -4,16 +4,16 @@
 For p in {2, 4} and n in {8, 16, ..., 48}, on 8-bit systems of two kinds
 (random rows, and one planted row repeated p times), it runs `solve` with
 the leaf budget lifted to the grid size.  Each stage is timed by wrapping
-the name `solve` calls it through, as the perfbench tracer does:
+the name `solve` calls it through with benchlib.spy, as the perfbench
+tracer does:
 
     geometry_ms  sssp.geometry
-    window_ms    sssp.l0_window (null on a tree without it)
+    window_ms    sssp.l0_window
     table_ms     sssp.attainable_witnesses: the table fill and witness walk
-    l0_ms        sssp.l0_check, the integer L0 filter, or sssp.exact_l0 on a
-                 tree without it, where solve filters on the exact rational
+    l0_ms        sssp.l0_check, the integer L0 filter
     stages_ms    the rest of solve: stages 1/2 (B and cross-term lookups, with
-                 their floats from sssp.stage_floats or sssp.cross_sum),
-                 quantization, the budget check and the certificate
+                 their floats from sssp.stage_floats), quantization, the
+                 budget check and the certificate
 
 Each time is the median of REPEATS solves.  Next to them it records counts
 that do not depend on the machine: the attainable targets on the whole
@@ -23,11 +23,13 @@ band cells of its table (`ReachTable.cells`), and whether it found a
 vertex.  Each figure is the median over the first SEEDS generator seeds
 whose quantized axis has no zero entry; found counts those seeds.
 
-    PYTHONPATH=src python scripts/bench_sssp.py --before 2031eeb
+    PYTHONPATH=src python scripts/bench_sssp.py --before HEAD^
 
-measures the tree in src/ as "after" and the src/ of git revision 2031eeb
+measures the tree in src/ as "after" and the src/ of git revision HEAD^
 as "before" and writes both to BENCH_sssp.json (see benchlib.py).  It
-reads only table names both trees have: `attained()` and `cells`.
+spies `geometry`, `l0_window`, `attainable_witnesses` and `l0_check` in
+sssp and `dp.ReachTable`, and reads a table's `attained()` and `cells`, so
+it reads any tree since f511e80, the first with `l0_check`.
 """
 
 from __future__ import annotations
@@ -43,9 +45,8 @@ KINDS = ("random", "duplicate")
 BITS = 8
 SEEDS = 3
 REPEATS = 5
-# each timing column wraps the first of its names that the tree has
-STAGES = {"geometry_ms": ("geometry",), "window_ms": ("l0_window",),
-          "table_ms": ("attainable_witnesses",), "l0_ms": ("l0_check", "exact_l0")}
+STAGES = {"geometry_ms": "geometry", "window_ms": "l0_window",
+          "table_ms": "attainable_witnesses", "l0_ms": "l0_check"}
 
 
 def quantized_axis(inst, c: int = 2) -> tuple[int, ...] | None:
@@ -70,80 +71,27 @@ def instances(n: int, p: int, kind: str):
         seed += 1
 
 
-class Stages:
-    """Timing and counting wrappers on the names solve calls."""
-
-    def __init__(self):
-        from slabsum import dp, sssp
-
-        self.ms = dict.fromkeys(STAGES, 0.0)
-        self.counts = {"listed": 0, "exact_checks": 0, "survivors": 0}
-        self.tables = []
-        self.patches = []
-        for key, names in STAGES.items():
-            name = next((name for name in names if hasattr(sssp, name)), None)
-            if name is None:
-                self.ms[key] = None
-            else:
-                self._wrap(sssp, name, key)
-        table, tables = dp.ReachTable, self.tables
-
-        class Recorded(table):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                tables.append(self)
-
-        self.patches.append((dp, "ReachTable", table))
-        dp.ReachTable = Recorded
-
-    def _wrap(self, module, name: str, key: str) -> None:
-        inner = getattr(module, name)
-        ms, counts = self.ms, self.counts
-
-        def timed(*args, **kwargs):
-            t0 = time.perf_counter()
-            result = inner(*args, **kwargs)
-            ms[key] += (time.perf_counter() - t0) * 1e3
-            if name == "attainable_witnesses":
-                counts["listed"] += len(result)
-            elif name == "l0_check":
-                counts["exact_checks"] += 1
-                counts["survivors"] += result is not None
-            elif name == "exact_l0":
-                counts["exact_checks"] += 1
-                counts["survivors"] += result <= 5 * args[0].delta
-            return result
-
-        self.patches.append((module, name, inner))
-        setattr(module, name, timed)
-
-    def restore(self) -> None:
-        for module, name, inner in reversed(self.patches):
-            setattr(module, name, inner)
-
-
 def measure_case(inst, w) -> dict:
-    from slabsum.dp import ReachTable
-    from slabsum.sssp import grid_cardinality, solve
+    from slabsum import dp, sssp
 
-    budget = grid_cardinality(inst)
-    full = ReachTable(w, sum(w))
-    attainable = len(full.attained())
+    budget = sssp.grid_cardinality(inst)
+    attainable = len(dp.ReachTable(w, sum(w)).attained())
     runs = []
     for _ in range(REPEATS):
-        stages = Stages()
-        try:
+        with (benchlib.spy(sssp, *STAGES.values()) as calls,
+              benchlib.spy(dp, "ReachTable") as tables):
             t0 = time.perf_counter()
-            cert = solve(inst, leaf_budget=budget)
+            cert = sssp.solve(inst, leaf_budget=budget)
             total = (time.perf_counter() - t0) * 1e3
-        finally:
-            stages.restore()
-        timed = [v for v in stages.ms.values() if v is not None]
-        runs.append(dict(stages.ms, stages_ms=total - sum(timed), solve_ms=total))
-    row = {key: None if runs[0][key] is None else statistics.median(r[key] for r in runs)
-           for key in runs[0]}
-    row.update(stages.counts, attainable_axis=attainable,
-               table_cells=sum(t.cells for t in stages.tables), found=int(cert is not None))
+        ms = {key: sum(call[0] for call in calls[name]) for key, name in STAGES.items()}
+        runs.append(dict(ms, stages_ms=total - sum(ms.values()), solve_ms=total))
+    checks = [result for *_, result in calls["l0_check"]]
+    row = {key: statistics.median(r[key] for r in runs) for key in runs[0]}
+    row.update(listed=sum(len(result) for *_, result in calls["attainable_witnesses"]),
+               exact_checks=len(checks), survivors=sum(d is not None for d in checks),
+               attainable_axis=attainable,
+               table_cells=sum(table.cells for *_, table in tables["ReachTable"]),
+               found=int(cert is not None))
     return row
 
 
@@ -157,7 +105,7 @@ def measure() -> list[dict]:
                 row = {"p": p, "kind": kind, "n": n, "seeds": len(runs)}
                 for key in runs[0]:
                     values = [r[key] for r in runs]
-                    row[key] = None if None in values else round(statistics.median(values), 3)
+                    row[key] = round(statistics.median(values), 3)
                 row["found"] = sum(r["found"] for r in runs)
                 rows.append(row)
     return rows

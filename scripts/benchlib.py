@@ -7,6 +7,10 @@ REV (unpacked with `git archive` into a temporary directory) as "before",
 each in its own interpreter, and writes both, with the machine and the
 bench's settings, to its BENCH_*.json at the repository root.
 
+Both benches time and count a stage by wrapping, with spy(), the program
+name it runs through, so a bench reads only trees that have every name it
+spies.
+
 The two trees are measured in ROUNDS alternating rounds, the tree that
 goes first alternating too, so load that drifts during the run reaches
 both.  Each timing or memory column (a key ending in _ms or _mb) is the
@@ -17,6 +21,7 @@ exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -25,6 +30,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from io import BytesIO
 from pathlib import Path
 
@@ -39,6 +45,36 @@ def cpu_model() -> str:
                         if line.startswith("model name"))
     except (OSError, StopIteration):
         return platform.machine()
+
+
+@contextlib.contextmanager
+def spy(owner, *names):
+    """For the block, wrap each owner.<name>, a module function, a class or
+    a method, so that every call appends (ms, args, result) to the list the
+    yielded dict holds under that name, in call order.  Keyword arguments
+    are passed on but not recorded, nor is a call that raises.  Every name
+    is restored on exit, also when the block raises.
+
+    Wrap a method of a class before the class itself: once the class name
+    is wrapped, looking it up gives the wrapper, not the class."""
+    calls = {name: [] for name in names}
+    inner = {name: getattr(owner, name) for name in names}
+
+    def wrap(call, record):
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            result = call(*args, **kwargs)
+            record.append(((time.perf_counter() - t0) * 1e3, args, result))
+            return result
+        return timed
+
+    try:
+        for name in names:
+            setattr(owner, name, wrap(inner[name], calls[name]))
+        yield calls
+    finally:
+        for name in names:
+            setattr(owner, name, inner[name])
 
 
 def measure_tree(script: str, src: Path) -> list[dict]:

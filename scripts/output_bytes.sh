@@ -1,17 +1,21 @@
 #!/usr/bin/env bash
-# solve-exact's output bytes on this tree against git revision REV.
+# The CLI's exit codes and output bytes on this tree against git revision REV.
 #
-#     bash scripts/exact_bytes.sh HEAD^
+#     bash scripts/output_bytes.sh HEAD^
 #
-# unpacks the src/ of REV with `git archive` into a temporary directory,
+# unpacks the src/ of REV with `git archive` into a temporary directory and
 # writes a fixed-seed input set with the tree in src/: 16-bit planted and
-# random partitions from `slabsum gen` (n = 64..512) and ssp files with
-# attained and unattained targets (gen has no ssp kind), runs solve-exact on
-# every input with each tree, and fails at the first pair of outputs that
-# differ.  The exit code is that of the failing command, 0 when all match.
+# random partitions from `slabsum gen` (n = 16..512) and ssp files with
+# attained and unattained targets (gen has no ssp kind).  With each tree it
+# runs solve-exact on every input, and `decide-slab --c 2`, `decide-slab
+# --c 3` and `solve-fptas --epsilon 1/(4n)` on the partitions at
+# n = 16, 32, 64, where most slab decisions skip the complement probe or see
+# it give up, so the early-stopped table and its witness walk answer.  It
+# fails at the first pair of runs whose exit code, stdout or stderr differ;
+# the exit code is that of the failing comparison, 0 when all match.
 set -euo pipefail
 
-rev=${1:?usage: exact_bytes.sh REV}
+rev=${1:?usage: output_bytes.sh REV}
 root=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -29,7 +33,7 @@ slabsum() {  # slabsum SRC ARGS...: the CLI of the slabsum in SRC
 where=$(PYTHONPATH=$work/before/src python -c 'import slabsum; print(slabsum.__file__)')
 [[ $where == "$work"/before/src/* ]] || { echo "before tree not imported: $where" >&2; exit 1; }
 
-for n in 64 128 256 512; do
+for n in 16 32 64 128 256 512; do
     for seed in 0 1 2; do
         slabsum "$root/src" gen --n "$n" --bits 16 --planted --seed "$seed" \
             --out "$work/in/planted-$n-$seed.json"
@@ -60,13 +64,34 @@ for n in (64, 128, 256, 512):
                            SspInstance(weights, target=target))
 EOF
 
-count=0
-for path in "$work"/in/*.json; do
-    name=$(basename "$path")
-    slabsum "$work/before/src" solve-exact --in "$path" --out "$work/out/before-$name"
-    slabsum "$root/src" solve-exact --in "$path" --out "$work/out/after-$name"
+compare() {  # compare NAME ARGS...: one CLI run on each tree, which must agree
+    local name=$1 side src status
+    shift
+    for side in before after; do
+        [[ $side == before ]] && src=$work/before/src || src=$root/src
+        status=0
+        slabsum "$src" "$@" > "$work/out/$side-$name" 2>&1 || status=$?
+        echo "exit $status" >> "$work/out/$side-$name"
+    done
     cmp "$work/out/before-$name" "$work/out/after-$name"
-    count=$((count + 1))
+}
+
+exact=0
+for path in "$work"/in/*.json; do
+    compare "exact-$(basename "$path")" solve-exact --in "$path"
+    exact=$((exact + 1))
 done
-solved=$(grep -l '"solved": true' "$work"/out/after-* | wc -l)
-echo "solve-exact output identical to $rev on $count inputs ($solved solved)"
+slab=0
+for n in 16 32 64; do
+    for path in "$work"/in/{planted,random}-$n-*.json; do
+        name=$(basename "$path")
+        compare "c2-$name" decide-slab --in "$path" --c 2
+        compare "c3-$name" decide-slab --in "$path" --c 3
+        compare "fptas-$name" solve-fptas --in "$path" --epsilon "1/$((4 * n))"
+        slab=$((slab + 3))
+    done
+done
+solved=$(grep -l '"solved": true' "$work"/out/after-exact-* | wc -l)
+refused=$(grep -L '^exit 0$' "$work"/out/after-{c2,c3,fptas}-* | wc -l)
+echo "output identical to $rev: solve-exact on $exact inputs ($solved solved)," \
+     "$slab slab decisions ($refused not exit 0)"

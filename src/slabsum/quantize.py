@@ -41,7 +41,6 @@ class QuantizedNormal:
 
     u: tuple[int, ...]
     big_n: int
-    c: int | None
     norm_u_sq: int
     dot_su: int
     norm_s_sq: int
@@ -113,7 +112,6 @@ def quantize(inst: PartitionInstance, c: int | None = None,
     return QuantizedNormal(
         u=u,
         big_n=big_n,
-        c=c,
         norm_u_sq=norm_u_sq,
         dot_su=dot_su,
         norm_s_sq=norm_s_sq,

@@ -174,7 +174,6 @@ def telescoped_l0(tree: MergeTree, x, m_values):
 class LevelGrid:
     """Arithmetic progression of guesses covering [-mbar, mbar] at the given step."""
 
-    level: int
     mbar: Fraction
     step: Fraction
 
@@ -212,7 +211,7 @@ def correction_grids(p: int, n: int, rho: Fraction, delta: Fraction) -> tuple[Le
     for q in range(depth):
         mbar = Fraction(p * n, 2 ** q) * rho * rho
         step = delta / (4 ** q * depth)
-        grids.append(LevelGrid(q, mbar, step))
+        grids.append(LevelGrid(mbar, step))
     return tuple(grids)
 
 
