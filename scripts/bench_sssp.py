@@ -19,7 +19,7 @@ Each time is the median of REPEATS solves.  Next to them it records counts
 that do not depend on the machine: the attainable targets on the whole
 axis (from a separate, untimed table over [0, sum(w)]), the targets the
 search lists, its exact checks and their survivors (L0 <= 5*delta), the
-band cells of its table (`ReachTable.cells`), and whether it found a
+row bits its table filled (rows_done * (cap + 1)), and whether it found a
 vertex.  Each figure is the median over the first SEEDS generator seeds
 whose quantized axis has no zero entry; found counts those seeds.
 
@@ -28,8 +28,8 @@ whose quantized axis has no zero entry; found counts those seeds.
 measures the tree in src/ as "after" and the src/ of git revision HEAD^
 as "before" and writes both to BENCH_sssp.json (see benchlib.py).  It
 spies `geometry`, `l0_window`, `attainable_witnesses` and `l0_check` in
-sssp and `dp.ReachTable`, and reads a table's `attained()` and `cells`, so
-it reads any tree since f511e80, the first with `l0_check`.
+sssp and `dp.ReachTable`, and reads a table's `attained()`, `rows_done` and
+`cap`, so it reads any tree since f511e80, the first with `l0_check`.
 """
 
 from __future__ import annotations
@@ -90,7 +90,8 @@ def measure_case(inst, w) -> dict:
     row.update(listed=sum(len(result) for *_, result in calls["attainable_witnesses"]),
                exact_checks=len(checks), survivors=sum(d is not None for d in checks),
                attainable_axis=attainable,
-               table_cells=sum(table.cells for *_, table in tables["ReachTable"]),
+               table_cells=sum(table.rows_done * (table.cap + 1)
+                               for *_, table in tables["ReachTable"]),
                found=int(cert is not None))
     return row
 

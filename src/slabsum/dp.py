@@ -16,26 +16,19 @@ Bringmann, SODA 2017).  nearest_attained decides solve_family's
 shifted-target window and dp_run's window [tau, tau] by the target nearest
 their center; attainable_witnesses answers every target of its window.
 
-Every table is banded by its window [lo, hi]: of row k only
-band(k) = [max(0, lo - P(k-1)), min(hi, Suf(k))] can matter, P(k-1) the
-sum of items 1..k-1 and Suf(k) of items k..n, since a sum outside it can no
-longer end in the window (prefix/suffix bounds, as in Pisinger's pruning).
-Band bits depend only on the previous row's band bits, and every bit a
-decision reads lies in the band; on planted instances the band is about
-half of each row.  The budget still counts full rows, (n+1)*(hi+1) cells,
-before any row is allocated.
-
-Rows are Python ints masked to the cap.  An int is only as long as its top
-set bit, so a row never holds bits above its attainable sums, and a
-checkpoint is the row itself, since ints are immutable.  A row holds every
-attainable sum below its band too, so the band bounds what a decision
-reads, and what `cells` counts, not what the fill computes.
+Rows are Python ints masked to [0, hi], hi the table's cap (its window
+top).  An int is only as long as its top set bit, so a row never holds bits
+above its attainable sums, and a checkpoint is the row itself, since ints
+are immutable.  A cell is one row bit: the budget counts (n+1)*(hi+1)
+cells before any row is allocated, and a table's `cells` counts the hi+1
+bits of each row it filled.
 
 Before any table, nearest_attained tries the complement probe on the
 center of its window.  Subset sums are symmetric: tau is in row k iff
-D_k = Suf(k) - tau is, and bits [0, W] of row k depend only on bits [0, W]
-of row k+1, so rows masked to [0, W] decide it exactly while D_k <= W
-(balancing around the break solution, in the spirit of Pisinger 1999).
+D_k = Suf(k) - tau is, Suf(k) the sum of items k..n, and bits [0, W] of
+row k depend only on bits [0, W] of row k+1, so rows masked to [0, W]
+decide it exactly while D_k <= W (balancing around the break solution, in
+the spirit of Pisinger 1999).
 On planted instances W is tens of thousands of bits, against a window top
 of millions; center_probe sets it.  When the probe is skipped or gives up,
 or tau is not attained, the table answers, so an unattained target pays
@@ -47,7 +40,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .quantize import QuantizedNormal
 
@@ -94,7 +86,7 @@ def check_budget(cells: int, budget_cells: int | None = None) -> None:
 @dataclass(frozen=True)
 class DpRun:
     """One decision run: its witness (None when tau is not attained) and
-    the band cells of its table, 0 when no table was built."""
+    the cells of its table, 0 when no table was built."""
 
     x: tuple[int, ...] | None
     cells: int
@@ -106,36 +98,19 @@ class ReachTable:
     Row k is the bit set of sums attainable from items k..n (1-based); row
     n+1 = {0}.  Rows are Python ints masked to [0, cap].  The table stores
     row n+1, every stride-th row below it and the last row filled in
-    checkpoints; attained() reads the window off the last row, and
+    checkpoints; attained() reads a window off the last row, and
     witnesses() re-derives the rows between checkpoints on the bits it reads.
-
-    The table is banded by its window [window_lo, cap]: only sums that can
-    still end in the window matter.  Row k then needs only its bits in
-    band(k) = [max(0, window_lo - P(k-1)), min(cap, Suf(k))], where P(k-1)
-    sums items 1..k-1 and Suf(k) items k..n.  Band bits of row k depend only
-    on band bits of row k+1, since the low end drops by at most u_k from one
-    row to the next, and a bit above the band is zero (no subset of items
-    k..n reaches it, or it lies above the cap).  An int row also holds every
-    bit below its band, exactly, so the band bounds what a decision reads,
-    not what the fill computes.  Every bit a window decision reads is in the
-    band: the window bits of the last row filled, and each sigma that
-    witnesses() tests in row k+1, which is at least tau - P(k-1).
-    window_lo = 0 keeps every attainable sum up to the cap.  The budget
-    counts (n+1)*(cap+1).
+    The budget counts (n+1)*(cap+1) cells.
     """
 
     def __init__(self, u: tuple[int, ...], cap: int, *, budget_cells: int | None = None,
-                 early_stop_bit: int | None = None, window_lo: int = 0):
+                 early_stop_bit: int | None = None):
         n = len(u)
         check_budget((n + 1) * (cap + 1), budget_cells)
         self.u = u
         self.cap = cap
-        self.window_lo = window_lo
         self.stride = max(1, math.isqrt(n))
         self.stopped_at: int | None = None
-        ascending = list(accumulate(reversed(u), initial=0))
-        # suf[k] = Suf(k) for k = 1..n+1; suf[0] = Suf(1) stands in for a row 0
-        self._suf = [ascending[-1], *reversed(ascending)]
 
         mask = (1 << (cap + 1)) - 1
         row = 1
@@ -160,22 +135,13 @@ class ReachTable:
 
     @property
     def cells(self) -> int:
-        """Summed band width of the rows filled: the bits a decision reads
-        from, not the bits below the bands that the int rows hold too."""
-        n = len(self.u)
-        return sum(max(0, hi - lo + 1)
-                   for lo, hi in map(self.band, range(n - self.rows_done + 1, n + 1)))
+        """The row bits filled, cap + 1 for each row: the unit the budget
+        counts."""
+        return self.rows_done * (self.cap + 1)
 
-    def band(self, k: int) -> tuple[int, int]:
-        """The bits [L, H] of row k that a decision on this table can read;
-        the int row holds its bits below L as well."""
-        suf = self._suf[k]
-        return max(0, self.window_lo - self._suf[1] + suf), min(self.cap, suf)
-
-    def attained(self) -> list[int]:
-        """The window targets [window_lo, cap] that the last row filled
-        (stopped_at, else 1) holds, ascending, read as one slice of it."""
-        lo = self.window_lo
+    def attained(self, lo: int = 0) -> list[int]:
+        """The targets [lo, cap] that the last row filled (stopped_at, else
+        1) holds, ascending, read as one slice of it."""
         bits = self.checkpoints[self.stopped_at or 1] >> lo
         return [lo + i for i, bit in enumerate(reversed(f"{bits:b}")) if bit == "1"]
 
@@ -197,8 +163,7 @@ class ReachTable:
         drops by the items taken, so with B = u_k + ... + u_{cp-1}, every bit
         those rows are derived from or read at lies in
         [min sigma - B, max sigma] over taus, and the block is rebuilt on
-        that slice alone.  Bits below a band stay below it, so they cannot
-        reach a bit the walk reads."""
+        that slice alone."""
         u = self.u
         xs = [[0] * len(u) for _ in taus]
         sigmas = list(taus)
@@ -319,13 +284,13 @@ def attainable_witnesses(u, lo: int, hi: int, *, budget_cells: int | None = None
     attains, tau ascending; each witness is the one dp_decide(u, tau)
     returns.
 
-    One ReachTable banded by the window answers every tau in it, since the
+    One ReachTable capped at hi answers every tau in the window, since the
     bits at or below tau do not depend on the cap.  The budget is checked
     once, for (n+1)*(hi+1) cells, before any row is allocated.
     """
     u = tuple(u)
-    table = ReachTable(u, hi, budget_cells=budget_cells, window_lo=lo)
-    taus = table.attained()
+    table = ReachTable(u, hi, budget_cells=budget_cells)
+    taus = table.attained(lo)
     return list(zip(taus, table.witnesses(taus)))
 
 
@@ -379,10 +344,8 @@ def nearest_attained(u: tuple[int, ...], lo: int, hi: int, total: int, *,
     probe = center_probe(u, total // 2, hi)
     if probe is not None:
         return total // 2, probe[2], None
-    table = ReachTable(u, hi, budget_cells=budget_cells, early_stop_bit=total // 2,
-                       window_lo=lo)
-    # only window targets count, whatever low end the table keeps
-    tau = min((t for t in table.attained() if t >= lo), key=_center_out(total), default=None)
+    table = ReachTable(u, hi, budget_cells=budget_cells, early_stop_bit=total // 2)
+    tau = min(table.attained(lo), key=_center_out(total), default=None)
     return tau, None if tau is None else table.witness(tau), table
 
 

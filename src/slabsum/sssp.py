@@ -463,9 +463,9 @@ def solve(inst: SsspInstance, *, leaf_budget: int = 10_000_000, c: int = 2,
     from "two or more".
 
     The grid is never walked.  The vertex depends on tau alone and the
-    exact check on the vertex alone, so one reachability table, banded by
-    l0_window (only its taus can pass), yields every candidate vertex.  One
-    integer pass gives each vertex's p integers d_i = S_i.(2x - 1);
+    exact check on the vertex alone, so one reachability table, read over
+    l0_window alone (only its taus can pass), yields every candidate vertex.
+    One integer pass gives each vertex's p integers d_i = S_i.(2x - 1);
     l0_check drops those failing l0 <= 5*delta in integers, and stages 1
     and 2 read their floats from the d_i (stage_floats), O(p) per vertex.
     Each stage accepts only guesses within one grid step of a value

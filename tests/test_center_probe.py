@@ -57,7 +57,7 @@ def table_path(q):
     builds for q; the witness is None when the fill never stops."""
     fam = family_window(q.total_u, q.n)
     center = min(fam.window, key=lambda tau: (abs(2 * tau - q.total_u), tau))
-    table = ReachTable(q.u, fam.window[-1], early_stop_bit=center, window_lo=fam.window[0])
+    table = ReachTable(q.u, fam.window[-1], early_stop_bit=center)
     x = table.witness(center) if table.stopped_at is not None else None
     return center, fam.window[-1], table.stopped_at, x
 

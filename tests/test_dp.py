@@ -15,14 +15,14 @@ from slabsum.quantize import quantize
 
 def table_decide(u, tau, *, budget_cells=None):
     """The single-target decision on a table alone, without the complement
-    probe: one table banded by [tau, tau] whose fill stops at the first row
-    that reaches tau; the reference dp_run and the per-target scans are
-    checked against."""
+    probe: one table capped at tau whose fill stops at the first row that
+    reaches tau; the reference dp_run and the per-target scans are checked
+    against."""
     u = tuple(u)
     if tau < 0 or tau > sum(u):
         return None
-    table = ReachTable(u, tau, budget_cells=budget_cells, early_stop_bit=tau, window_lo=tau)
-    return table.witness(tau) if tau in table.attained() else None
+    table = ReachTable(u, tau, budget_cells=budget_cells, early_stop_bit=tau)
+    return table.witness(tau) if table.attained(tau) else None
 
 
 def test_hand_examples():
@@ -59,15 +59,15 @@ def test_agrees_with_enumeration_on_all_targets(rows):
             assert sum(w for w, b in zip(u, x) if b) == tau
     total = sum(u)
     for lo, hi in ((0, total), (total // 3, 2 * total // 3), (total // 2, total // 2)):
-        table = ReachTable(tuple(u), hi, window_lo=lo)
-        assert table.attained() == sorted(s for s in sums if lo <= s <= hi), (lo, hi)
+        table = ReachTable(tuple(u), hi)
+        assert table.attained(lo) == sorted(s for s in sums if lo <= s <= hi), (lo, hi)
     # an early-stopped table attains the window sums of items stopped_at..n
     lo, hi = total // 4, 3 * total // 4
     first = min(s for s in sums if s >= total // 2)
-    table = ReachTable(tuple(u), hi, early_stop_bit=first, window_lo=lo)
+    table = ReachTable(tuple(u), hi, early_stop_bit=first)
     k = table.stopped_at
     assert k is not None and k > 1
-    got = table.attained()
+    got = table.attained(lo)
     assert first in got
     assert got == sorted(s for s in all_subset_sums(u[k - 1:]) if lo <= s <= hi)
 
@@ -138,13 +138,12 @@ def test_early_stop_and_full_rows_agree(rows):
     for tau in range(0, sum(u) + 1, 7):
         slow = ReachTable(u, tau)
         reachable = tau in slow.attained()
-        # window_lo = tau is the table of table_decide, and of dp_run when
-        # the probe does not answer
-        for lo in (0, tau):
-            fast = ReachTable(u, tau, early_stop_bit=tau, window_lo=lo)
-            assert (fast.stopped_at is not None) == reachable
-            if reachable:
-                assert fast.witness(tau) == slow.witness(tau)
+        # the table of table_decide, and of dp_run when the probe does not
+        # answer
+        fast = ReachTable(u, tau, early_stop_bit=tau)
+        assert (fast.stopped_at is not None) == reachable
+        if reachable:
+            assert fast.witness(tau) == slow.witness(tau)
 
 
 def test_decision_scan_budget_error(monkeypatch):

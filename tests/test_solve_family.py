@@ -147,7 +147,7 @@ def _wide_cap_cases():
     near 10^6, so every target misses, or equal to the others' sum, so that
     weight alone is near the center and, with enough weight on each side of
     it, the table rather than the complement probe finds the hit.  Most
-    window tops are 2^17 bits or more, and every row band far narrower."""
+    window tops are 2^17 bits or more."""
     cases = []
     for seed in range(90):
         n = random.Random(seed).randint(47, 97)
