@@ -4,15 +4,24 @@
 #     bash scripts/output_bytes.sh HEAD^
 #
 # unpacks the src/ of REV with `git archive` into a temporary directory and
-# writes a fixed-seed input set with the tree in src/: 16-bit planted and
-# random partitions from `slabsum gen` (n = 16..512) and ssp files with
-# attained and unattained targets (gen has no ssp kind).  With each tree it
-# runs solve-exact on every input, and `decide-slab --c 2`, `decide-slab
-# --c 3` and `solve-fptas --epsilon 1/(4n)` on the partitions at
-# n = 16, 32, 64, where most slab decisions skip the complement probe or see
-# it give up, so the early-stopped table and its witness walk answer.  It
-# fails at the first pair of runs whose exit code, stdout or stderr differ;
-# the exit code is that of the failing comparison, 0 when all match.
+# runs every command below with each tree, each in its own directory:
+#   * `slabsum gen`: planted and random partitions with 16-bit weights
+#     (n = 16..512, seeds 0-2) and with 1- and 64-bit weights (n = 16, 64,
+#     256), and sssp systems at p = 2 (n = 6..14) and p = 4 (n = 6, 8), with
+#     and without --planted; the files written must agree too;
+#   * solve-exact on the 16-bit partitions and on ssp files with attained and
+#     unattained targets (gen has no ssp kind, so these are written once);
+#   * `decide-slab --c 2`, `decide-slab --c 3` and `solve-fptas --epsilon
+#     1/(4n)` on the partitions at n = 16, 32, 64, where most slab decisions
+#     skip the complement probe or see it give up, so the early-stopped table
+#     and its witness walk answer;
+#   * solve-sssp on every generated system: the p = 2 grids fit the default
+#     leaf budget and are searched (two of the planted ones underflow at
+#     c = 2), and the p = 4 ones are refused.
+# The inputs of the later commands are the files gen wrote on this tree.  It
+# fails at the first pair of runs whose exit code, stdout, stderr or written
+# file differ; the exit code is that of the failing comparison, 0 when all
+# match.
 set -euo pipefail
 
 rev=${1:?usage: output_bytes.sh REV}
@@ -20,7 +29,7 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-mkdir -p "$work/before" "$work/in" "$work/out"
+mkdir -p "$work/before" "$work/in" "$work/out" "$work/before-files" "$work/after-files"
 git -C "$root" archive "$rev" src | tar -x -C "$work/before"
 
 slabsum() {  # slabsum SRC ARGS...: the CLI of the slabsum in SRC
@@ -33,12 +42,52 @@ slabsum() {  # slabsum SRC ARGS...: the CLI of the slabsum in SRC
 where=$(PYTHONPATH=$work/before/src python -c 'import slabsum; print(slabsum.__file__)')
 [[ $where == "$work"/before/src/* ]] || { echo "before tree not imported: $where" >&2; exit 1; }
 
+compare() {  # compare NAME ARGS...: one CLI run on each tree, which must agree
+    local name=$1 side src status
+    shift
+    for side in before after; do
+        [[ $side == before ]] && src=$work/before/src || src=$root/src
+        status=0
+        (cd "$work/$side-files" && slabsum "$src" "$@") > "$work/out/$side-$name" 2>&1 \
+            || status=$?
+        echo "exit $status" >> "$work/out/$side-$name"
+    done
+    cmp "$work/out/before-$name" "$work/out/after-$name"
+}
+
+gens=0
+gen() {  # gen NAME ARGS...: slabsum gen on each tree; the files written must agree too
+    local name=$1
+    shift
+    compare "gen-$name" gen "$@" --out "$name.json"
+    cmp "$work/before-files/$name.json" "$work/after-files/$name.json"
+    gens=$((gens + 1))
+}
+
 for n in 16 32 64 128 256 512; do
     for seed in 0 1 2; do
-        slabsum "$root/src" gen --n "$n" --bits 16 --planted --seed "$seed" \
-            --out "$work/in/planted-$n-$seed.json"
-        slabsum "$root/src" gen --n "$n" --bits 16 --seed "$seed" \
-            --out "$work/in/random-$n-$seed.json"
+        gen "planted-$n-$seed" --n "$n" --bits 16 --planted --seed "$seed"
+        gen "random-$n-$seed" --n "$n" --bits 16 --seed "$seed"
+    done
+done
+cp "$work"/after-files/{planted,random}-*.json "$work/in/"
+for bits in 1 64; do
+    for n in 16 64 256; do
+        for seed in 0 1 2; do
+            gen "bits$bits-planted-$n-$seed" --n "$n" --bits "$bits" --planted --seed "$seed"
+            gen "bits$bits-random-$n-$seed" --n "$n" --bits "$bits" --seed "$seed"
+        done
+    done
+done
+for p in 2 4; do
+    [[ $p == 2 ]] && sizes="6 8 10 12 14" || sizes="6 8"
+    for n in $sizes; do
+        for seed in 0 1 2; do
+            gen "sssp-p$p-planted-$n-$seed" --kind sssp --p "$p" --n "$n" --bits 16 \
+                --planted --seed "$seed"
+            gen "sssp-p$p-random-$n-$seed" --kind sssp --p "$p" --n "$n" --bits 16 \
+                --seed "$seed"
+        done
     done
 done
 
@@ -64,18 +113,6 @@ for n in (64, 128, 256, 512):
                            SspInstance(weights, target=target))
 EOF
 
-compare() {  # compare NAME ARGS...: one CLI run on each tree, which must agree
-    local name=$1 side src status
-    shift
-    for side in before after; do
-        [[ $side == before ]] && src=$work/before/src || src=$root/src
-        status=0
-        slabsum "$src" "$@" > "$work/out/$side-$name" 2>&1 || status=$?
-        echo "exit $status" >> "$work/out/$side-$name"
-    done
-    cmp "$work/out/before-$name" "$work/out/after-$name"
-}
-
 exact=0
 for path in "$work"/in/*.json; do
     compare "exact-$(basename "$path")" solve-exact --in "$path"
@@ -91,7 +128,15 @@ for n in 16 32 64; do
         slab=$((slab + 3))
     done
 done
+sssp=0
+for path in "$work"/after-files/sssp-*.json; do
+    compare "sssp-$(basename "$path")" solve-sssp --in "$path"
+    sssp=$((sssp + 1))
+done
 solved=$(grep -l '"solved": true' "$work"/out/after-exact-* | wc -l)
 refused=$(grep -L '^exit 0$' "$work"/out/after-{c2,c3,fptas}-* | wc -l)
-echo "output identical to $rev: solve-exact on $exact inputs ($solved solved)," \
-     "$slab slab decisions ($refused not exit 0)"
+found=$(grep -l '"found": true' "$work"/out/after-sssp-* | wc -l)
+not_run=$(grep -L '^exit 0$' "$work"/out/after-sssp-* | wc -l)
+echo "output identical to $rev: gen on $gens files, solve-exact on $exact inputs" \
+     "($solved solved), $slab slab decisions ($refused not exit 0), solve-sssp on" \
+     "$sssp systems ($found found, $not_run not exit 0)"

@@ -318,7 +318,6 @@ def family_window(total: int, n: int) -> TargetFamily:
 
 @dataclass(frozen=True)
 class FamilyScan:
-    family: TargetFamily
     hit: tuple[int, tuple[int, ...]] | None  # (t, lexicographically smallest witness)
     targets_scanned: int
 
@@ -359,8 +358,8 @@ def solve_family(q: QuantizedNormal, *, budget_cells: int | None = None) -> Fami
     tau, x, _ = nearest_attained(q.u, fam.window[0], fam.window[-1], total,
                                  budget_cells=budget_cells)
     if tau is None:
-        return FamilyScan(fam, None, len(fam.window))
+        return FamilyScan(None, len(fam.window))
     key = _center_out(total)
     # total // 2, the probe's answer, is first: it needs no count
     ahead = 0 if tau == total // 2 else sum(key(t) < key(tau) for t in fam.window)
-    return FamilyScan(fam, (fam.t_of(tau), x), ahead + 1)
+    return FamilyScan((fam.t_of(tau), x), ahead + 1)

@@ -22,14 +22,18 @@ class ParseError(ValueError):
 
 
 def _checked_weights(weights, m: int | None, name: str) -> tuple[int, ...]:
-    """weights as a nonempty tuple of ints, each at least 1 and, when m is
-    given, at most m bits wide; an error names the entry as name[i]."""
-    weights = tuple(map(int, weights))
+    """weights as a nonempty tuple of ints (a bool is not one), each at least
+    1 and, when m is given, at most m bits wide; an error names the entry as
+    name[i].  Entries are checked, never converted."""
+    weights = tuple(weights)
     if not weights:
         raise ValueError(f"{name}: need at least one weight")
-    if min(weights) < 1 or m is not None and max(weights).bit_length() > m:
+    if (not set(map(type, weights)) <= {int} or min(weights) < 1
+            or m is not None and max(weights).bit_length() > m):
         # only to name the first entry at fault
         for i, w in enumerate(weights):
+            if type(w) is not int:
+                raise ValueError(f"{name}[{i}] = {w!r} is not an int")
             if w < 1:
                 raise ValueError(f"{name}[{i}] = {w} must be >= 1")
             if m is not None and w.bit_length() > m:
@@ -38,10 +42,13 @@ def _checked_weights(weights, m: int | None, name: str) -> tuple[int, ...]:
 
 
 def _checked_planted(planted_x, n: int) -> tuple[int, ...] | None:
-    """planted_x as a tuple of n entries, each 0 or 1; None stays None."""
+    """planted_x as a tuple of n ints, each 0 or 1; None stays None."""
     if planted_x is None:
         return None
-    planted_x = tuple(map(int, planted_x))
+    planted_x = tuple(planted_x)
+    if not set(map(type, planted_x)) <= {int}:
+        i = next(i for i, b in enumerate(planted_x) if type(b) is not int)
+        raise ValueError(f"planted_x[{i}] = {planted_x[i]!r} is not an int")
     if len(planted_x) != n:
         raise ValueError("planted_x length mismatch")
     if not set(planted_x) <= {0, 1}:
@@ -60,6 +67,8 @@ class SspInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _checked_weights(self.weights, self.m, "weights"))
+        if type(self.target) is not int:
+            raise ValueError(f"target = {self.target!r} is not an int")
         if not 0 <= self.target <= sum(self.weights):
             raise ValueError("target outside [0, sum(weights)]")
 
@@ -349,8 +358,8 @@ def instance_to_json(inst: Instance) -> dict:
         meta["seed"] = inst.seed
     if getattr(inst, "planted_x", None) is not None:
         meta["planted_x"] = list(inst.planted_x)
+    meta["n"] = inst.n
     if isinstance(inst, SsspInstance):
-        meta["n"] = inst.n
         return {
             "kind": "sssp",
             "weight_rows": [[str(w) for w in row] for row in inst.weight_rows],
@@ -358,7 +367,6 @@ def instance_to_json(inst: Instance) -> dict:
             "delta": fraction_json(inst.delta),
             "meta": meta,
         }
-    meta["n"] = inst.n
     doc = {
         "kind": "ssp" if isinstance(inst, SspInstance) else "partition",
         "weights": [str(w) for w in inst.weights],

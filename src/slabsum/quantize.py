@@ -2,15 +2,17 @@
 
 The weight vector S is replaced by U with entries floor(N * s_k / |S|), so U
 needs only about log2(N) bits per entry while pointing nearly the same way.
-Everything downstream is certified against the exact cached geometry here:
-cos^2 of the angle between S and U, the squared drift half-width d_star_sq,
-and the squared gap between S/|S| and U/N.
+A QuantizedNormal stores integers only.  Everything downstream is certified
+against exact values derived from them on first read: cos^2 of the angle
+between S and U, the squared drift half-width d_star_sq, and the squared gap
+between S/|S| and U/N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from .instance import PartitionInstance
@@ -31,12 +33,13 @@ class QuantizationUnderflow(ValueError):
 
 @dataclass(frozen=True)
 class QuantizedNormal:
-    """Quantized direction plus the exact geometry linking it back to S.
-
-    Invariants (all checked in exact integer/rational arithmetic):
-      * u_k^2 * |S|^2 <= N^2 * s_k^2 < (u_k+1)^2 * |S|^2  (floor property)
-      * unit_gap_sq == |S/|S| - U/N|^2 <= n / N^2
-      * cos_sq in [0, 1] and d_star_sq == (n/4) * (1 - cos_sq)
+    """Quantized direction U, scale N, and |U|^2, S.U and |S|^2, which link U
+    back to S.  Invariants, each checked in exact arithmetic:
+      * u_k^2 |S|^2 <= N^2 s_k^2 < (u_k+1)^2 |S|^2 (floor): by quantize
+      * cos_sq in [0, 1]: on the first read of cos_sq or d_star_sq, which
+        every verdict makes
+      * unit_gap_sq == |S/|S| - U/N|^2 >= 0: on its first read, which only
+        checks make; they bound it by n / N^2 (unit_gap_bound)
     """
 
     u: tuple[int, ...]
@@ -44,9 +47,6 @@ class QuantizedNormal:
     norm_u_sq: int
     dot_su: int
     norm_s_sq: int
-    cos_sq: Fraction
-    d_star_sq: Fraction
-    unit_gap_sq: Surd
 
     @property
     def n(self) -> int:
@@ -55,6 +55,24 @@ class QuantizedNormal:
     @property
     def total_u(self) -> int:
         return sum(self.u)
+
+    @cached_property
+    def cos_sq(self) -> Fraction:  # of the angle between S and U
+        cos_sq = Fraction(self.dot_su * self.dot_su, self.norm_s_sq * self.norm_u_sq)
+        assert 0 <= cos_sq <= 1
+        return cos_sq
+
+    @cached_property
+    def d_star_sq(self) -> Fraction:  # the squared drift half-width
+        return Fraction(self.n, 4) * (1 - self.cos_sq)
+
+    @cached_property
+    def unit_gap_sq(self) -> Surd:
+        # |S/|S| - U/N|^2 = 1 + |U|^2/N^2 - 2*(S.U)/(N*|S|), exact over sqrt(|S|^2)
+        gap = Surd(1 + Fraction(self.norm_u_sq, self.big_n * self.big_n),
+                   -Fraction(2 * self.dot_su, self.big_n * self.norm_s_sq), self.norm_s_sq)
+        assert gap.sign() >= 0
+        return gap
 
 
 @dataclass(frozen=True)
@@ -68,7 +86,10 @@ class ShiftBound:
 
     value_sq: Fraction
     limit_sq: Fraction
-    within: bool
+
+    @property
+    def within(self) -> bool:
+        return self.value_sq <= self.limit_sq
 
 
 def quantize(inst: PartitionInstance, c: int | None = None,
@@ -96,29 +117,8 @@ def quantize(inst: PartitionInstance, c: int | None = None,
     if 0 in u:
         raise QuantizationUnderflow([k for k, uk in enumerate(u) if uk == 0], big_n)
 
-    norm_u_sq = sum(map(mul, u, u))
-    dot_su = sum(map(mul, s, u))
-    cos_sq = Fraction(dot_su * dot_su, norm_s_sq * norm_u_sq)
-    assert 0 <= cos_sq <= 1
-    d_star_sq = Fraction(n, 4) * (1 - cos_sq)
-
-    # |S/|S| - U/N|^2 = 1 + |U|^2/N^2 - 2*(S.U)/(N*|S|), exact over sqrt(|S|^2)
-    gap = Surd(
-        1 + Fraction(norm_u_sq, big_n * big_n),
-        -Fraction(2 * dot_su, big_n * norm_s_sq),
-        norm_s_sq,
-    )
-    assert gap.sign() >= 0
-    return QuantizedNormal(
-        u=u,
-        big_n=big_n,
-        norm_u_sq=norm_u_sq,
-        dot_su=dot_su,
-        norm_s_sq=norm_s_sq,
-        cos_sq=cos_sq,
-        d_star_sq=d_star_sq,
-        unit_gap_sq=gap,
-    )
+    return QuantizedNormal(u=u, big_n=big_n, norm_u_sq=sum(map(mul, u, u)),
+                           dot_su=sum(map(mul, s, u)), norm_s_sq=norm_s_sq)
 
 
 def unit_gap_bound(q: QuantizedNormal) -> Fraction:
@@ -128,7 +128,5 @@ def unit_gap_bound(q: QuantizedNormal) -> Fraction:
 
 def shift_bound_report(q: QuantizedNormal) -> ShiftBound:
     """Check (d_star * |U|)^2 against (n/2)^2 * (1 + 4n/N^2), all rational."""
-    value_sq = q.d_star_sq * q.norm_u_sq
     slack = 1 + Fraction(4 * q.n, q.big_n * q.big_n)
-    limit_sq = Fraction(q.n * q.n, 4) * slack
-    return ShiftBound(value_sq=value_sq, limit_sq=limit_sq, within=value_sq <= limit_sq)
+    return ShiftBound(q.d_star_sq * q.norm_u_sq, Fraction(q.n * q.n, 4) * slack)

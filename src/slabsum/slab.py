@@ -47,8 +47,11 @@ class EmptyInner:
     """No target in the window is attainable: the inner slab has no vertex."""
 
     d_star_sq: Fraction
-    inner_thickness_sq: Fraction  # (2 * d_star)^2
     targets_scanned: int
+
+    @property
+    def inner_thickness_sq(self) -> Fraction:
+        return 4 * self.d_star_sq  # (2 * d_star)^2
 
     @property
     def anomaly(self) -> bool:
@@ -62,10 +65,13 @@ class VertexFound:
     x: tuple[int, ...]
     t_hit: int
     d_star_sq: Fraction
-    outer_thickness_sq: Fraction  # (8 * d_star)^2
     rel_error: Fraction
     in_outer_slab: bool
     targets_scanned: int
+
+    @property
+    def outer_thickness_sq(self) -> Fraction:
+        return 64 * self.d_star_sq  # (8 * d_star)^2
 
     @property
     def anomaly(self) -> bool:
@@ -87,11 +93,7 @@ def decide(inst: PartitionInstance, c: int | None = None, big_n: int | None = No
     q = quantize(inst, c=c, big_n=big_n)
     scan = solve_family(q, budget_cells=budget_cells)
     if scan.hit is None:
-        return EmptyInner(
-            d_star_sq=q.d_star_sq,
-            inner_thickness_sq=4 * q.d_star_sq,
-            targets_scanned=scan.targets_scanned,
-        )
+        return EmptyInner(d_star_sq=q.d_star_sq, targets_scanned=scan.targets_scanned)
     t, x = scan.hit
     total_s = inst.total
     dot_sx = sum(compress(inst.weights, x))
@@ -99,15 +101,8 @@ def decide(inst: PartitionInstance, c: int | None = None, big_n: int | None = No
     rel_error = Fraction(abs(dev2), total_s)
     # membership in the 8*d_star slab: (S.(x-C))^2 <= (4 d_star)^2 |S|^2
     in_outer = Fraction(dev2 * dev2) <= 64 * q.d_star_sq * q.norm_s_sq
-    return VertexFound(
-        x=x,
-        t_hit=t,
-        d_star_sq=q.d_star_sq,
-        outer_thickness_sq=64 * q.d_star_sq,
-        rel_error=rel_error,
-        in_outer_slab=in_outer,
-        targets_scanned=scan.targets_scanned,
-    )
+    return VertexFound(x=x, t_hit=t, d_star_sq=q.d_star_sq, rel_error=rel_error,
+                       in_outer_slab=in_outer, targets_scanned=scan.targets_scanned)
 
 
 def decide_epsilon(inst: PartitionInstance, epsilon, *,
@@ -133,22 +128,13 @@ def decide_epsilon(inst: PartitionInstance, epsilon, *,
 
 
 def verdict_to_json(v: SlabVerdict) -> dict:
-    if isinstance(v, EmptyInner):
-        return {
-            "verdict": "empty_inner",
-            "x": None,
-            "t": None,
-            "d_star_sq": fraction_json(v.d_star_sq),
-            "rel_error": None,
-            "targets_scanned": v.targets_scanned,
-            "anomaly": False,
-        }
+    found = isinstance(v, VertexFound)
     return {
-        "verdict": "vertex_found",
-        "x": list(v.x),
-        "t": v.t_hit,
+        "verdict": "vertex_found" if found else "empty_inner",
+        "x": list(v.x) if found else None,
+        "t": v.t_hit if found else None,
         "d_star_sq": fraction_json(v.d_star_sq),
-        "rel_error": fraction_json(v.rel_error),
+        "rel_error": fraction_json(v.rel_error) if found else None,
         "targets_scanned": v.targets_scanned,
         "anomaly": v.anomaly,
     }

@@ -285,20 +285,31 @@ class SsspCertificate:
 
 @dataclass(frozen=True)
 class Geometry:
-    """Root sphere and (M, B) guess grids of one instance and eps_b."""
+    """Root sphere and (M, B) guess grids of one instance and eps_b.
+
+    geometry() checks rho, the axis length and eps_b before it builds one.
+    levels, root_radius and grid_size are derived from the fields as it is
+    built and check nothing; the constructor takes only the fields.
+    """
 
     shells: tuple[Shell, ...]
     grids: tuple[LevelGrid, ...]
-    levels: tuple[tuple, ...]       # per grid: count, float(mbar), float(step), *int_terms()
     leaf_scales: tuple[float, ...]  # rho / |S_i|: leaf residual i is d_i times it
     axis: tuple[float, ...]         # cube center minus merged center; all positive
     axis_norm: float
     root_radius_sq: float
-    root_radius: float
     b_lo: float
     eps_b: float
     b_count: int
-    grid_size: int
+
+    def __post_init__(self):
+        # set here, not cached on first read: a cached_property's write turns
+        # the inline attributes into a dict, after which each attribute read
+        # in the search's inner loops costs about three times as much
+        levels = tuple((g.count, float(g.mbar), float(g.step), *g.int_terms()) for g in self.grids)
+        object.__setattr__(self, "levels", levels)  # count, float(mbar), float(step), *int_terms()
+        object.__setattr__(self, "root_radius", math.sqrt(self.root_radius_sq))
+        object.__setattr__(self, "grid_size", math.prod(c for c, *_ in levels) * self.b_count)
 
     @cached_property
     def tree(self) -> MergeTree:
@@ -318,7 +329,6 @@ def geometry(inst: SsspInstance, eps_b: float | None) -> Geometry:
     shells = build_shells(inst)
     root_center, root_radius_sq = root_sphere(shells)
     grids = correction_grids(inst.p, n, inst.rho, inst.delta)
-    levels = tuple((g.count, float(g.mbar), float(g.step), *g.int_terms()) for g in grids)
     axis = tuple(0.5 - ck for ck in root_center)
     axis_norm = math.sqrt(sum(a * a for a in axis))
     if axis_norm < math.sqrt(n):
@@ -339,11 +349,10 @@ def geometry(inst: SsspInstance, eps_b: float | None) -> Geometry:
     if not math.isfinite(span):
         raise ValueError(f"eps_b {eps_b} is too small: (B_up - B_lo)/eps_b is not finite")
     b_count = max(1, math.ceil(span) + 1)
-    grid_size = math.prod(count for count, *_ in levels) * b_count
     rho_f = float(inst.rho)
     leaf_scales = tuple(rho_f / math.sqrt(m) for m in inst.row_norms_sq)
-    return Geometry(shells, grids, levels, leaf_scales, axis, axis_norm, root_radius_sq,
-                    root_radius, b_lo, eps_b, b_count, grid_size)
+    return Geometry(shells, grids, leaf_scales, axis, axis_norm, root_radius_sq, b_lo, eps_b,
+                    b_count)
 
 
 def grid_cardinality(inst: SsspInstance, *, eps_b: float | None = None) -> int:

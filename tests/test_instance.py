@@ -70,6 +70,26 @@ def test_instance_validation():
         SsspInstance(((1, 2), (2, 1)), rho=1, delta=1)  # p == n
 
 
+# constructors check the type of each entry instead of converting it; the
+# messages name the entry, as the file reader's do
+WRONG_TYPES = [
+    (lambda: PartitionInstance((2.5, 3)), "weights[0] = 2.5 is not an int"),
+    (lambda: PartitionInstance((1, 1), planted_x=(0.9, 1.2)), "planted_x[0] = 0.9 is not an int"),
+    (lambda: PartitionInstance(("7", True)), "weights[0] = '7' is not an int"),
+    (lambda: PartitionInstance((7, True)), "weights[1] = True is not an int"),
+    (lambda: SspInstance((1, 2), target=1.0), "target = 1.0 is not an int"),
+    (lambda: SsspInstance(((1, 2, 3), (1, 2.0, 3)), rho=3, delta=1),
+     "weight_rows[1][1] = 2.0 is not an int"),
+]
+
+
+@pytest.mark.parametrize("build, message", WRONG_TYPES, ids=[m for _, m in WRONG_TYPES])
+def test_constructors_reject_entries_that_are_not_ints(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
 def test_round_trip_partition(tmp_path):
     inst = gen_planted(8, 4, seed=11)
     path = tmp_path / "a.json"

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from slabsum.instance import PartitionInstance, gen_random
 from slabsum.numerics import Surd
-from slabsum.quantize import (QuantizationUnderflow, quantize,
+from slabsum.quantize import (QuantizationUnderflow, QuantizedNormal, quantize,
                               shift_bound_report, unit_gap_bound)
 
 weights_lists = st.lists(st.integers(min_value=1, max_value=4000), min_size=2, max_size=12)
@@ -19,6 +19,15 @@ def test_parallel_fixture():
     assert q.cos_sq == 1
     assert q.d_star_sq == 0
     assert q.unit_gap_sq == 0
+
+
+@pytest.mark.parametrize("name", ["cos_sq", "d_star_sq", "unit_gap_sq"])
+def test_derived_values_check_their_invariants(name):
+    # S.U = 5 with |S| = |U| = 1 is no quantization: cos^2 = 25 and the unit
+    # gap 2 - 10 is negative, so each derived value fails its own assert
+    q = QuantizedNormal(u=(1,), big_n=1, norm_u_sq=1, dot_su=5, norm_s_sq=1)
+    with pytest.raises(AssertionError):
+        getattr(q, name)
 
 
 def test_all_equal_weights_are_parallel():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from slabsum import numerics
 from slabsum.dp import BudgetError
 from slabsum.instance import PartitionInstance, gen_planted, gen_random
 from slabsum.oracle import slab_population
@@ -142,3 +143,22 @@ def test_exactly_one_alternative():
         except QuantizationUnderflow:
             continue
         assert isinstance(v, (EmptyInner, VertexFound))
+
+
+def test_decisions_construct_no_surd(monkeypatch):
+    # the unit gap is a Surd that only checks read; a verdict needs d_star_sq
+    calls = []
+    init = numerics.Surd.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(numerics.Surd, "__init__", counting)
+    assert numerics.Surd(1).rat == 1 and len(calls) == 1  # the spy counts
+    calls.clear()
+    for seed in range(3):
+        decide(gen_planted(16, 16, seed), c=2)
+        decide(gen_random(17, 16, seed), c=3)
+        decide_epsilon(gen_planted(16, 16, seed), Fraction(1, 64))
+    assert calls == []

@@ -27,8 +27,8 @@ def per_target_family(q, *, budget_cells=None) -> FamilyScan:
     for pos, tau in enumerate(order, 1):
         x = table_decide(q.u, tau, budget_cells=budget_cells)
         if x is not None:
-            return FamilyScan(fam, (fam.t_of(tau), x), pos)
-    return FamilyScan(fam, None, len(order))
+            return FamilyScan((fam.t_of(tau), x), pos)
+    return FamilyScan(None, len(order))
 
 
 def _seeded_cases(count: int):
