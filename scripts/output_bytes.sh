@@ -17,7 +17,12 @@
 #     and its witness walk answer;
 #   * solve-sssp on every generated system: the p = 2 grids fit the default
 #     leaf budget and are searched (two of the planted ones underflow at
-#     c = 2), and the p = 4 ones are refused.
+#     c = 2), and the p = 4 ones are refused;
+#   * solve-sssp --leaf-budget 10^12 on the p = 4 systems, whose grids of
+#     5.5*10^9 to 5.4*10^10 leaves are then searched through both merge levels
+#     and both M-index lists;
+#   * solve-sssp --c 3 on the p = 2 systems, where the two planted ones that
+#     underflow at c = 2 are found.
 # The inputs of the later commands are the files gen wrote on this tree.  It
 # fails at the first pair of runs whose exit code, stdout, stderr or written
 # file differ; the exit code is that of the failing comparison, 0 when all
@@ -128,15 +133,23 @@ for n in 16 32 64; do
         slab=$((slab + 3))
     done
 done
-sssp=0
 for path in "$work"/after-files/sssp-*.json; do
-    compare "sssp-$(basename "$path")" solve-sssp --in "$path"
-    sssp=$((sssp + 1))
+    name=$(basename "$path")
+    compare "sssp-$name" solve-sssp --in "$path"
+    case $name in
+        sssp-p4-*) compare "sssp-p4big-$name" solve-sssp --in "$path" \
+                       --leaf-budget 1000000000000 ;;
+        sssp-p2-*) compare "sssp-p2c3-$name" solve-sssp --in "$path" --c 3 ;;
+    esac
 done
+sssp_runs() {  # sssp_runs KIND: "N runs (F found, E not exit 0)" of one solve-sssp group
+    local files=("$work"/out/after-"$1"-*)
+    echo "${#files[@]} runs ($(grep -l '"found": true' "${files[@]}" | wc -l) found," \
+         "$(grep -L '^exit 0$' "${files[@]}" | wc -l) not exit 0)"
+}
 solved=$(grep -l '"solved": true' "$work"/out/after-exact-* | wc -l)
 refused=$(grep -L '^exit 0$' "$work"/out/after-{c2,c3,fptas}-* | wc -l)
-found=$(grep -l '"found": true' "$work"/out/after-sssp-* | wc -l)
-not_run=$(grep -L '^exit 0$' "$work"/out/after-sssp-* | wc -l)
 echo "output identical to $rev: gen on $gens files, solve-exact on $exact inputs" \
-     "($solved solved), $slab slab decisions ($refused not exit 0), solve-sssp on" \
-     "$sssp systems ($found found, $not_run not exit 0)"
+     "($solved solved), $slab slab decisions ($refused not exit 0), solve-sssp" \
+     "at its defaults: $(sssp_runs sssp-sssp); p = 4 with --leaf-budget 10^12:" \
+     "$(sssp_runs sssp-p4big); p = 2 with --c 3: $(sssp_runs sssp-p2c3)"

@@ -19,7 +19,7 @@ from .quantize import (QuantizationUnderflow, QuantizedNormal, ShiftBound,
                        quantize, shift_bound_report, unit_gap_bound)
 from .slab import (EmptyInner, SlabVerdict, VertexFound, decide, decide_epsilon,
                    dump_verdict, slab_contains, verdict_to_json)
-from .sssp import (GridBudgetError, LevelGrid, MergeNode, MergeTree, Shell,
+from .sssp import (GridBudgetError, LevelGrid, MergeTree, Shell,
                    SsspCertificate, build_shells, correction_grids, cross_sum,
                    curvature_term, exact_l0, merge_pair, merge_tree, solve,
                    telescoped_l0)

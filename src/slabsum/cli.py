@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--planted", action="store_true",
                      help="plant a balanced solution (requires even n)")
     gen.add_argument("--kind", choices=["partition", "sssp"], default="partition")
-    gen.add_argument("--p", type=int, default=2, help="constraint rows (sssp only)")
+    gen.add_argument("--p", type=_positive_int, default=2, help="constraint rows (sssp only)")
     gen.add_argument("--rho", type=_fraction, default=None)
     gen.add_argument("--delta", type=_fraction, default=Fraction(1))
     gen.add_argument("--out", required=True)

@@ -303,7 +303,7 @@ class TargetFamily:
     to the central hyperplane must land in."""
 
     total: int
-    window: tuple[int, ...]
+    window: range
 
     def t_of(self, tau: int) -> int:
         """Shift relative to ceil(total/2); for even totals, tau - total/2."""
@@ -313,7 +313,7 @@ class TargetFamily:
 def family_window(total: int, n: int) -> TargetFamily:
     lo = max(0, (total + 1) // 2 - n)
     hi = min(total, total // 2 + n)
-    return TargetFamily(total, tuple(range(lo, hi + 1)))
+    return TargetFamily(total, range(lo, hi + 1))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import mul
 from pathlib import Path
@@ -146,6 +145,9 @@ class SsspInstance:
             raise ValueError("rho must be positive")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
+        # |S_i|^2 of each weight row, summed once; set here, not cached on
+        # first read, whose write would turn the inline attributes into a dict
+        object.__setattr__(self, "row_norms_sq", tuple(sum(w * w for w in row) for row in rows))
 
     @property
     def p(self) -> int:
@@ -154,11 +156,6 @@ class SsspInstance:
     @property
     def n(self) -> int:
         return len(self.weight_rows[0])
-
-    @cached_property
-    def row_norms_sq(self) -> tuple[int, ...]:
-        """|S_i|^2 of each weight row, summed once; being frozen, it cannot be set."""
-        return tuple(sum(w * w for w in row) for row in self.weight_rows)
 
 
 Instance = SspInstance | PartitionInstance | SsspInstance

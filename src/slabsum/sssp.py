@@ -47,28 +47,23 @@ class GridBudgetError(BudgetError):
     """The (M, B) guess grid exceeds the configured leaf budget."""
 
 
-def _rationalize(value):
-    return Fraction(value) if isinstance(value, int) else value
-
-
 @dataclass(frozen=True)
 class Shell:
     """Shell around the sphere |x - center| = sqrt(radius_sq); its thickness
     is the instance's delta, which the search applies.
 
-    `anchor` and `rho` record the exact provenance of solver-built shells
-    (center = cube center - rho * anchor/|anchor|), enabling exact residual
-    squares at vertices even though the center coordinates are irrational.
+    `center` and `radius_sq` are used as given; Fractions keep residuals
+    exact.  `anchor` and `rho` record the exact provenance of solver-built
+    shells (center = cube center - rho * anchor/|anchor|), enabling exact
+    residual squares at vertices even though the center coordinates are
+    irrational.  A merged sphere's `children` are the two it stands in for.
     """
 
     center: tuple
     radius_sq: object
     anchor: tuple[int, ...] | None = None
     rho: Fraction | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", tuple(_rationalize(c) for c in self.center))
-        object.__setattr__(self, "radius_sq", _rationalize(self.radius_sq))
+    children: tuple[Shell, Shell] | None = None
 
     def residual(self, x):
         """|x - center|^2 - radius_sq; exact when the data is rational."""
@@ -88,52 +83,35 @@ class Shell:
 
 
 @dataclass(frozen=True)
-class MergeNode:
-    """One sphere standing in for 2^level shells; a leaf is one shell's sphere."""
-
-    center: tuple
-    radius_sq: object
-    level: int
-    children: tuple["MergeNode", "MergeNode"] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", tuple(_rationalize(c) for c in self.center))
-        object.__setattr__(self, "radius_sq", _rationalize(self.radius_sq))
-
-    def residual(self, x):
-        return sum((xk - ck) ** 2 for xk, ck in zip(x, self.center)) - self.radius_sq
-
-
-@dataclass(frozen=True)
 class MergeTree:
-    root: MergeNode
-    levels: tuple[tuple[MergeNode, ...], ...]  # levels[0] = leaves, levels[-1] = (root,)
+    """levels[0] is the given shells, levels[q + 1] their merges after step
+    q, and levels[-1] is (root,)."""
+
+    levels: tuple[tuple[Shell, ...], ...]
+
+    @property
+    def root(self) -> Shell:
+        return self.levels[-1][0]
 
 
-def merge_pair(a: MergeNode, b: MergeNode) -> MergeNode:
+def merge_pair(a: Shell, b: Shell) -> Shell:
     """Midpoint center; radius from the radical identity so that
     2*(|x-C|^2 - R^2) equals the sum of the children's residuals for all x."""
-    if a.level != b.level:
-        raise ValueError("can only merge nodes of equal level")
-    center, radius_sq = root_sphere((a, b))
-    return MergeNode(center=center, radius_sq=radius_sq, level=a.level + 1,
-                     children=(a, b))
+    return Shell(*root_sphere((a, b)), children=(a, b))
 
 
 def merge_tree(shells) -> MergeTree:
-    """Disjoint pairing (1,2), (3,4), ... repeated log2(p) times."""
+    """Disjoint pairing (1,2), (3,4), ... repeated log2(p) times; the given
+    shells are the leaves, not copies of them."""
     p = len(shells)
     if p < 1 or (p & (p - 1)) != 0:
         raise ValueError(f"shell count {p} must be a power of two")
-    level = tuple(
-        MergeNode(center=s.center, radius_sq=s.radius_sq, level=0)
-        for s in shells
-    )
+    level = tuple(shells)
     levels = [level]
     while len(level) > 1:
         level = tuple(merge_pair(level[i], level[i + 1]) for i in range(0, len(level), 2))
         levels.append(level)
-    return MergeTree(root=level[0], levels=tuple(levels))
+    return MergeTree(tuple(levels))
 
 
 def root_sphere(shells) -> tuple[tuple, object]:
@@ -176,10 +154,6 @@ class LevelGrid:
 
     mbar: Fraction
     step: Fraction
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("grid step must be positive")
 
     @property
     def count(self) -> int:
@@ -355,9 +329,10 @@ def geometry(inst: SsspInstance, eps_b: float | None) -> Geometry:
                     b_count)
 
 
-def grid_cardinality(inst: SsspInstance, *, eps_b: float | None = None) -> int:
-    """Number of (M, B) leaves in the guess grid, which the leaf budget bounds."""
-    return geometry(inst, eps_b).grid_size
+def grid_cardinality(inst: SsspInstance) -> int:
+    """Number of (M, B) leaves in the default guess grid, which the leaf
+    budget bounds."""
+    return geometry(inst, None).grid_size
 
 
 # fixed-point scale of the integer multipliers in l0_window

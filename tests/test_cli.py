@@ -168,6 +168,16 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
     assert run(["oracle", "--in", str(inst_path), "--cap", "-1"]) == 1
     assert capsys.readouterr().err == "slabsum: error: --cap must be at least 0, got -1\n"
+    # --p is checked as given, not as the row count the generator builds from it
+    gen_out = tmp_path / "s.json"
+    for bad in ("-2", "0"):
+        assert run(["gen", "--kind", "sssp", "--p", bad, "--n", "6", "--bits", "4",
+                    "--out", str(gen_out)]) == 1
+        assert f"argument --p: must be at least 1, got {bad}\n" in capsys.readouterr().err
+    assert run(["gen", "--kind", "sssp", "--p", "3", "--n", "6", "--bits", "4",
+                "--out", str(gen_out)]) == 1
+    assert capsys.readouterr().err == "slabsum: error: p = 3 must be a power of two\n"
+    assert not gen_out.exists()
     # sweeps that would measure nothing are refused before any instance is built
     out = tmp_path / "bench.csv"
     for bad in (["--n", ","], ["--n", "16,24", "--repeats", "0"]):

@@ -104,13 +104,13 @@ def test_budget_env_override(monkeypatch):
 
 def test_family_window_shapes():
     fam = family_window(14, 2)
-    assert fam.window == (5, 6, 7, 8, 9)
+    assert tuple(fam.window) == (5, 6, 7, 8, 9)
     assert [fam.t_of(t) for t in fam.window] == [-2, -1, 0, 1, 2]
     odd = family_window(15, 2)
-    assert odd.window == (6, 7, 8, 9)
+    assert tuple(odd.window) == (6, 7, 8, 9)
     # clamped at the boundaries
     tiny = family_window(3, 4)
-    assert tiny.window == (0, 1, 2, 3)
+    assert tuple(tiny.window) == (0, 1, 2, 3)
 
 
 def test_solve_family_fixture():

@@ -110,6 +110,13 @@ def test_round_trip_ssp_and_sssp(tmp_path):
     assert again.rho == Fraction(6) / Fraction(3, 2)
 
 
+def test_sssp_row_norms_are_set_at_construction():
+    # set by the constructor, not cached on first read (see __post_init__)
+    inst = SsspInstance(((3, 4, 12), (1, 2, 2)), rho=Fraction(5), delta=Fraction(1))
+    assert "row_norms_sq" in vars(inst)
+    assert inst.row_norms_sq == (169, 9)
+
+
 def test_big_weight_survives_round_trip():
     w = int("999999999999999999999999")
     inst = PartitionInstance((w, 3))

@@ -60,6 +60,23 @@ def test_merge_tree_requires_power_of_two():
         merge_tree(shells)
 
 
+def test_merge_tree_nodes_are_shells_over_the_given_shells():
+    rng = random.Random(24)
+    for p in (1, 2, 4, 8):
+        shells = [Shell(center=tuple(Fraction(rng.randrange(-8, 9), 4) for _ in range(3)),
+                        radius_sq=Fraction(rng.randrange(1, 40), 4))
+                  for _ in range(p)]
+        tree = merge_tree(shells)
+        assert len(tree.levels[0]) == p
+        assert all(leaf is shell for leaf, shell in zip(tree.levels[0], shells))
+        for below, level in zip(tree.levels, tree.levels[1:]):
+            assert len(level) * 2 == len(below)
+            for i, node in enumerate(level):
+                assert type(node) is Shell
+                assert node.children[0] is below[2 * i] and node.children[1] is below[2 * i + 1]
+        assert len(tree.levels[-1]) == 1 and tree.root is tree.levels[-1][0]
+
+
 def test_telescoping_with_true_cross_sums_is_exact():
     rng = random.Random(4)
     for _ in range(200):
