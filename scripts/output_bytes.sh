@@ -15,6 +15,9 @@
 #     1/(4n)` on the partitions at n = 16, 32, 64, where most slab decisions
 #     skip the complement probe or see it give up, so the early-stopped table
 #     and its witness walk answer;
+#   * `oracle` on the 18 partitions at n = 16 (1-, 16- and 64-bit weights,
+#     planted and random, seeds 0-2); the 1-bit ones, all weights 1, have
+#     12,870 solutions, of which the report keeps 64;
 #   * solve-sssp on every generated system: the p = 2 grids fit the default
 #     leaf budget and are searched (two of the planted ones underflow at
 #     c = 2), and the p = 4 ones are refused;
@@ -133,6 +136,11 @@ for n in 16 32 64; do
         slab=$((slab + 3))
     done
 done
+oracles=0
+for path in "$work"/after-files/{,bits1-,bits64-}{planted,random}-16-*.json; do
+    compare "oracle-$(basename "$path")" oracle --in "$path"
+    oracles=$((oracles + 1))
+done
 for path in "$work"/after-files/sssp-*.json; do
     name=$(basename "$path")
     compare "sssp-$name" solve-sssp --in "$path"
@@ -150,6 +158,7 @@ sssp_runs() {  # sssp_runs KIND: "N runs (F found, E not exit 0)" of one solve-s
 solved=$(grep -l '"solved": true' "$work"/out/after-exact-* | wc -l)
 refused=$(grep -L '^exit 0$' "$work"/out/after-{c2,c3,fptas}-* | wc -l)
 echo "output identical to $rev: gen on $gens files, solve-exact on $exact inputs" \
-     "($solved solved), $slab slab decisions ($refused not exit 0), solve-sssp" \
+     "($solved solved), $slab slab decisions ($refused not exit 0), oracle on" \
+     "$oracles partitions at n = 16, solve-sssp" \
      "at its defaults: $(sssp_runs sssp-sssp); p = 4 with --leaf-budget 10^12:" \
      "$(sssp_runs sssp-p4big); p = 2 with --c 3: $(sssp_runs sssp-p2c3)"

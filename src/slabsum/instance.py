@@ -227,6 +227,8 @@ def gen_sssp_random(n: int, m: int, p: int, seed: int, *,
         rows = tuple(base.weights for _ in range(p))
         return SsspInstance(rows, rho=rho, delta=delta, m=m, seed=seed,
                             planted_x=base.planted_x)
+    if n < 1 or m < 1:
+        raise ValueError("need n >= 1 and m >= 1")
     rng = random.Random(seed)
     rows = tuple(tuple(rng.randrange(1, 1 << m) for _ in range(n)) for _ in range(p))
     return SsspInstance(rows, rho=rho, delta=delta, m=m, seed=seed)

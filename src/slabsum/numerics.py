@@ -3,7 +3,7 @@
 Every quantity a solver certifies (slab half-widths, quantization residuals,
 shell deviations) is either rational or of the form a + b*sqrt(m) with a, b
 rational and m a nonnegative integer.  Values of the second kind stay symbolic
-in :class:`Surd`; comparisons are decided by sign analysis plus squaring.
+in :class:`Surd`; a comparison reads the exact sign of a difference.
 Floating point never participates in a verdict.
 """
 
@@ -37,8 +37,9 @@ class Surd:
 
     Perfect-square radicands collapse into the rational part on construction,
     so purely rational values always carry rad == 0.  Addition, subtraction
-    and multiplication are closed for a shared radicand; the sign of a value
-    is decided exactly, which gives total exact comparisons.
+    and multiplication are closed for a shared radicand, and sign() is exact:
+    compare two values by ``(a - b).sign()``.  ``==`` is field equality, exact
+    on collapsed values: ``Surd(0, 1, 2) * Surd(0, 1, 2) == Surd(2)``.
     """
 
     rat: Fraction
@@ -63,10 +64,6 @@ class Surd:
         object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "rad", rad)
 
-    @classmethod
-    def sqrt(cls, rad: int) -> "Surd":
-        return cls(0, 1, rad)
-
     # -- field structure (shared radicand) --------------------------------
 
     def _coerce(self, other) -> "Surd":
@@ -88,9 +85,6 @@ class Surd:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return Surd(-self.rat, -self.coef, self.rad)
 
@@ -105,7 +99,7 @@ class Surd:
 
     __rmul__ = __mul__
 
-    # -- exact ordering ----------------------------------------------------
+    # -- exact sign --------------------------------------------------------
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}."""
@@ -123,53 +117,6 @@ class Surd:
         if a > 0:
             return (lhs > rhs) - (lhs < rhs)
         return (rhs > lhs) - (rhs < lhs)
-
-    def _cmp(self, other) -> int:
-        return (self - other).sign()
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def __eq__(self, other):
-        if isinstance(other, (Surd, int, Fraction)):
-            try:
-                return self._cmp(other) == 0
-            except ValueError:
-                return NotImplemented
-        return NotImplemented
-
-    def __hash__(self):
-        if self.coef == 0:
-            return hash(self.rat)
-        return hash((self.rat, self.coef, self.rad))
-
-    # -- conversions --------------------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return self.coef == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self!r} is irrational")
-        return self.rat
-
-    def __float__(self) -> float:
-        return float(self.rat) + float(self.coef) * math.sqrt(self.rad)
-
-    def __repr__(self):
-        if self.coef == 0:
-            return f"Surd({self.rat})"
-        return f"Surd({self.rat} + {self.coef}*sqrt({self.rad}))"
 
 
 def sqrt_diff_within(x_sq: Surd | RationalLike, y_sq: Surd | RationalLike,

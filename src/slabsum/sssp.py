@@ -340,9 +340,9 @@ _WINDOW_D = 1 << 20
 
 
 def l0_window(inst: SsspInstance, geo: Geometry, scale: int,
-              w: tuple[int, ...]) -> tuple[int, int] | None:
+              w: tuple[int, ...]) -> tuple[int, int]:
     """Targets [lo, hi] that w.x can take at a vertex x with exact
-    L0 <= 5*delta; None when no target can.
+    L0 <= 5*delta.
 
     Put y = 2x - 1 and d_i = S_i.y, so that exact_l0 is
     rho^2 * sum_i d_i^2/|S_i|^2.  For D = 2^20, any integers a_i and
@@ -353,6 +353,10 @@ def l0_window(inst: SsspInstance, geo: Geometry, scale: int,
     computed in integers and is sound for every choice of a_i; floats pick
     them near D*scale*rho / (p*|axis|*|S_i|), which makes e small because
     w ~ scale*axis/|axis| and axis = (rho/p) sum_i S_i/|S_i|.
+
+    Never empty: R >= 1 unless w = 0 (an a_i != 0 makes A > 0, all a_i = 0
+    give e = D*sum(w)), so ceil((sum(w) - R)/2) <= floor((sum(w) + R)/2),
+    and the clamps to [0, sum(w)] keep lo <= hi; w = 0 gives (0, 0).
     """
     d, p = _WINDOW_D, inst.p
     big_a = 0
@@ -366,8 +370,7 @@ def l0_window(inst: SsspInstance, geo: Geometry, scale: int,
     root = math.isqrt(math.ceil(bound) - 1) + 1 if bound > 0 else 0
     r = -(-(root + e) // d)
     total_w = sum(w)
-    lo, hi = max(0, (total_w - r + 1) // 2), min(total_w, (total_w + r) // 2)
-    return (lo, hi) if lo <= hi else None
+    return max(0, (total_w - r + 1) // 2), min(total_w, (total_w + r) // 2)
 
 
 def _leaf_window(geo: Geometry, scale: int, total_w: int, y_lo: float, y_hi: float,
@@ -448,10 +451,10 @@ def solve(inst: SsspInstance, *, leaf_budget: int = 10_000_000, c: int = 2,
 
     The grid is never walked.  The vertex depends on tau alone and the
     exact check on the vertex alone, so one reachability table, read over
-    l0_window alone (only its taus can pass), yields every candidate vertex.
-    One integer pass gives each vertex's p integers d_i = S_i.(2x - 1);
-    l0_check drops those failing l0 <= 5*delta in integers, and stages 1
-    and 2 read their floats from the d_i (stage_floats), O(p) per vertex.
+    l0_window alone (only its taus can pass), lists every candidate vertex,
+    and one pass checks each in tau order: l0_check reads its p integers
+    d_i = S_i.(2x - 1) and drops it unless l0 <= 5*delta, and stages 1 and
+    2 read their floats from the d_i (stage_floats), O(p) per vertex.
     Each stage accepts only guesses within one grid step of a value
     computed from the vertex, so each survivor lists the few (M, B) grid
     points it can satisfy and keeps the first whose leaf window holds its
@@ -483,18 +486,7 @@ def solve(inst: SsspInstance, *, leaf_budget: int = 10_000_000, c: int = 2,
     total_w = sum(w)
     check_budget((n + 1) * (total_w + 1), budget_cells)
     window = l0_window(inst, geo, scale, w)
-    if window is None:
-        return None
-
     bound = l0_bound(inst)
-    candidates = []
-    for tau, x in attainable_witnesses(w, *window, budget_cells=budget_cells):
-        ds = l0_check(bound, x)
-        if ds is not None:
-            candidates.append((tau, x, ds))
-    if not candidates:
-        return None
-
     slack = 3 * float(inst.delta)
     # a leaf's sum_q 4^q * M_q as sum_q (c_q * i_q - k_q) / sig_den, which
     # one int true division turns into the float of that exact rational
@@ -524,7 +516,10 @@ def solve(inst: SsspInstance, *, leaf_budget: int = 10_000_000, c: int = 2,
         return None
 
     best = None  # (leaf key, x, B); tau breaks key ties, ascending
-    for tau, x, ds in candidates:
+    for tau, x in attainable_witnesses(w, *window, budget_cells=budget_cells):
+        ds = l0_check(bound, x)
+        if ds is None:
+            continue
         b_idx, m_idx_lists = stage_indices(geo, *stage_floats(geo, ds))
         if b_idx and all(m_idx_lists):
             leaf = first_leaf(tau, b_idx, m_idx_lists)

@@ -1,8 +1,12 @@
 import math
 
+import pytest
+
 from slabsum.bench import (BenchRow, bench_instance, fit_loglog_slope, run_bench,
                            scan_window, write_csv)
 from slabsum.dp import family_window
+from slabsum.instance import gen_random
+from slabsum.quantize import QuantizationUnderflow, quantize
 
 
 def test_fit_slope_on_synthetic_power_law():
@@ -17,6 +21,20 @@ def test_fit_slope_averages_repeats():
         for bump in (0.9, 1.0, 1.1):
             rows.append(BenchRow(n, n * n, 2, bump * n ** 2, 2 * n, n))
     assert math.isclose(fit_loglog_slope(rows), 2.0, abs_tol=0.01)
+
+
+def test_fit_slope_needs_two_sizes():
+    rows = [BenchRow(16, 256, 2, ms, 32, 16) for ms in (1.0, 2.0)]
+    with pytest.raises(ValueError, match="at least two distinct n values"):
+        fit_loglog_slope(rows)
+
+
+def test_bench_instance_moves_to_the_next_seed_on_underflow():
+    # seed 2 at n = 4 with 4-bit weights rounds a weight to zero at N = 16
+    with pytest.raises(QuantizationUnderflow):
+        quantize(gen_random(4, 4, 2), c=2)
+    inst, q = bench_instance(4, 4, 2, 2)
+    assert inst.seed == 2 + 1_000_003 and min(q.u) >= 1
 
 
 def test_bench_instance_skips_underflow_seeds():

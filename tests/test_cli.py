@@ -183,6 +183,29 @@ def test_usage_errors(tmp_path, capsys):
     for bad in (["--n", ","], ["--n", "16,24", "--repeats", "0"]):
         assert run(["bench", *bad, "--bits", "6", "--out", str(out)]) == 1
     assert not out.exists()
+    capsys.readouterr()
+    # each refusal below exits 1 with its one message, on stderr
+    sssp_path = tmp_path / "sssp.json"
+    write_instance(sssp_path, SsspInstance(((1, 2, 3), (3, 2, 1)), rho=Fraction(3),
+                                           delta=Fraction(1)))
+    refusals = [
+        (["gen", "--kind", "sssp", "--n", "6", "--bits", "0"], "need n >= 1 and m >= 1"),
+        (["gen", "--n", "6", "--bits", "0"], "need n >= 1 and m >= 1"),
+        (["gen", "--planted", "--n", "4", "--bits", "0"], "need m >= 1"),
+        (["gen", "--kind", "sssp", "--n", "6", "--bits", "4", "--rho", "abc"],
+         "argument --rho: not a rational number: 'abc'"),
+        (["bench", "--n", "1,x", "--bits", "6"],
+         "argument --n: not a comma-separated integer list: '1,x'"),
+        (["decide-slab", "--in", str(inst_path), "--big-n", "0"], "N must be positive"),
+        (["solve-exact", "--in", str(sssp_path)], "solve-exact needs an ssp or partition instance"),
+        (["solve-sssp", "--in", str(inst_path)], "solve-sssp needs an sssp instance"),
+        (["oracle", "--in", str(sssp_path)], "oracle needs a partition instance"),
+    ]
+    for argv, message in refusals:
+        assert run([*argv, "--out", str(out)]) == 1, argv
+        err = capsys.readouterr().err
+        assert f"error: {message}\n" in err and "Traceback" not in err, (argv, err)
+        assert not out.exists()
 
 
 def test_over_long_weight_is_named_by_its_digit_count(tmp_path, capsys):

@@ -175,6 +175,23 @@ MALFORMED = [
       "delta": {"num": "1", "den": "1"}, "meta": {"planted_x": [5]}}, "planted_x length"),
     (SSSP_OVER_M, r"weight_rows\[0\]\[0\] = 1000 exceeds 2 bits"),
     ({"kind": "partition", "weights": ["3", "4", "5"], "meta": {"n": 7}}, "meta.n: 7 does not"),
+    ({"kind": "sssp", "weight_rows": [["1", "2", "3"]], "rho": "5",
+      "delta": {"num": "1", "den": "1"}}, "rho: expected an object with num/den"),
+    ({"kind": "sssp", "weight_rows": [["1", "2", "3"]], "rho": {"den": "1"},
+      "delta": {"num": "1", "den": "1"}}, 'rho: missing "num"'),
+    ({"kind": "sssp", "weight_rows": [["1", "2", "3"]], "rho": {"num": "1", "den": "1"},
+      "delta": {"num": "1", "den": "0"}}, "delta: zero denominator"),
+    ({"kind": "sssp", "weight_rows": [["1", "2", "3"]],
+      "delta": {"num": "1", "den": "1"}}, 'missing "rho"'),
+    ({"kind": "sssp", "weight_rows": [["1", "2", "3"]],
+      "rho": {"num": "1", "den": "1"}}, 'missing "delta"'),
+    ({"kind": "ssp", "weights": ["1", "2"]}, 'missing "target"'),
+    ({"kind": "sssp", "weight_rows": [["1", "2", "3"], ["1", "2"]], "rho": {"num": "1", "den": "1"},
+      "delta": {"num": "1", "den": "1"}}, r"weight_rows\[1\] has length 2, expected 3"),
+    ({"kind": "sssp", "weight_rows": [["1", "2", "3"]], "rho": {"num": "0", "den": "1"},
+      "delta": {"num": "1", "den": "1"}}, "rho must be positive"),
+    ({"kind": "sssp", "weight_rows": [["1", "2", "3"]], "rho": {"num": "1", "den": "1"},
+      "delta": {"num": "0", "den": "1"}}, "delta must be positive"),
 ]
 
 

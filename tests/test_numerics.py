@@ -30,25 +30,20 @@ def test_floor_div_sqrt_postcondition(a, b):
 
 def test_surd_collapses_perfect_squares():
     s = Surd(Fraction(1, 3), Fraction(2), 9)
-    assert s.is_rational
-    assert s.as_fraction() == Fraction(1, 3) + 6
+    assert s == Surd(Fraction(1, 3) + 6)
+    assert Surd(0, 1, 2) * Surd(0, 1, 2) == Surd(2)
 
 
 def test_surd_arithmetic_and_ordering():
-    root2 = Surd.sqrt(2)
-    assert root2 * root2 == 2
+    root2 = Surd(0, 1, 2)
+    assert root2 * root2 == Surd(2)
     assert (root2 + root2) == Surd(0, 2, 2)
-    assert root2 < Fraction(3, 2)
-    assert root2 > Fraction(7, 5)
-    assert (1 - root2).sign() == -1
+    assert (root2 - Fraction(3, 2)).sign() == -1
+    assert (root2 - Fraction(7, 5)).sign() == 1
+    assert (Surd(1) - root2).sign() == -1
     assert (root2 - root2).sign() == 0
     with pytest.raises(ValueError):
-        _ = Surd.sqrt(2) + Surd.sqrt(3)
-
-
-def test_surd_irrational_refuses_fraction():
-    with pytest.raises(ValueError):
-        Surd.sqrt(2).as_fraction()
+        _ = Surd(0, 1, 2) + Surd(0, 1, 3)
 
 
 small_fractions = st.fractions(min_value=-100, max_value=100, max_denominator=50)
@@ -93,9 +88,26 @@ def test_sqrt_diff_within_basic():
     assert sqrt_diff_within(9, 4, 1)
     assert not sqrt_diff_within(9, 4, Fraction(99, 100))
     # |sqrt(2) - sqrt(2)| = 0 with surds
-    two = Surd.sqrt(2) * Surd.sqrt(2)
+    two = Surd(0, 1, 2) * Surd(0, 1, 2)
     assert sqrt_diff_within(two, 2, 0)
     # |sqrt(2 + sqrt(2)) - sqrt(2)| ~ 0.434
     inner = Surd(2, 1, 2)
     assert sqrt_diff_within(inner, 2, Fraction(44, 100))
     assert not sqrt_diff_within(inner, 2, Fraction(43, 100))
+
+
+def test_sqrt_diff_within_settles_a_nonpositive_left_side():
+    # x + y - width^2 <= 0 answers True without the second squaring
+    assert sqrt_diff_within(1, 1, 2)
+    assert sqrt_diff_within(Surd(0, 1, 2), 1, 2)
+
+
+def test_exact_helpers_refuse_negative_arguments():
+    with pytest.raises(ValueError, match="width must be nonnegative"):
+        sqrt_diff_within(1, 1, -1)
+    with pytest.raises(ValueError, match="squared arguments must be nonnegative"):
+        sqrt_diff_within(Surd(0, -1, 2), 1, 1)
+    with pytest.raises(ValueError, match="requires a >= 0"):
+        floor_div_sqrt(-1, 2)
+    with pytest.raises(ValueError, match="radicand must be nonnegative"):
+        Surd(0, 1, -2)

@@ -70,6 +70,32 @@ def test_slab_population_degenerate_center():
     assert set(pop.witnesses) == {(1, 0), (0, 1)}
 
 
+def test_slab_population_refuses_bad_thickness():
+    for delta, delta_sq in ((1, 1), (None, None)):
+        with pytest.raises(ValueError, match="exactly one of delta or delta_sq"):
+            slab_population((1, 2), None, delta, delta_sq=delta_sq)
+    with pytest.raises(ValueError, match="delta_sq must be nonnegative"):
+        slab_population((1, 2), None, delta_sq=-1)
+
+
+def test_slab_population_explicit_center_matches_pointwise_membership():
+    ws = (3, 5, 7, 2, 6)
+    center = (Fraction(1, 3), Fraction(2, 5), 1, 0, Fraction(3, 4))
+    counts = []
+    for delta in (0, Fraction(1, 2), 1, Fraction(5, 2)):
+        pop = slab_population(ws, center, delta, keep=1 << len(ws))
+        inside = set()
+        for mask, _ in iter_vertex_sums(ws):
+            x = tuple((mask >> k) & 1 for k in range(len(ws)))
+            if slab_contains(ws, center, delta, x):
+                inside.add(x)
+        assert pop.count == len(inside) and set(pop.witnesses) == inside, delta
+        counts.append(pop.count)
+    # the center moves the slab: at delta = 1 the cube center gives 22
+    assert counts == [0, 11, 20, 31]
+    assert slab_population(ws, None, 1).count == 22
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=50), min_size=2, max_size=8),
        st.fractions(min_value=0, max_value=3, max_denominator=8))

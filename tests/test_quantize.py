@@ -18,7 +18,7 @@ def test_parallel_fixture():
     assert q.norm_u_sq == 100
     assert q.cos_sq == 1
     assert q.d_star_sq == 0
-    assert q.unit_gap_sq == 0
+    assert q.unit_gap_sq.sign() == 0
 
 
 @pytest.mark.parametrize("name", ["cos_sq", "d_star_sq", "unit_gap_sq"])

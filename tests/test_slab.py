@@ -24,6 +24,12 @@ def test_slab_contains_explicit_center_and_spec():
     assert not slab_contains((1, 1), center, Fraction(1, 2), (1, 1))
 
 
+def test_slab_contains_takes_exactly_one_thickness():
+    for delta, delta_sq in ((1, 1), (None, None)):
+        with pytest.raises(ValueError, match="exactly one of delta or delta_sq"):
+            slab_contains((1, 1), None, delta, (1, 0), delta_sq=delta_sq)
+
+
 def test_slab_contains_matches_floats():
     rng = random.Random(7)
     for _ in range(300):

@@ -93,6 +93,12 @@ def test_telescoping_with_true_cross_sums_is_exact():
         assert telescoped_l0(tree, x, true_m) == l0
 
 
+def test_telescoping_needs_one_guess_per_merge_step():
+    shells = [Shell(center=(Fraction(k), Fraction(0)), radius_sq=Fraction(1)) for k in range(4)]
+    with pytest.raises(ValueError, match="expected 2 cross-term guesses, got 1"):
+        telescoped_l0(merge_tree(shells), (0, 1), [Fraction(0)])
+
+
 def test_grid_soundness_within_two_delta():
     # replacing each true cross sum by any grid value within one step keeps
     # the telescoped estimate within 2*delta of the true objective

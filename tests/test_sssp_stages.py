@@ -13,8 +13,10 @@ from fractions import Fraction
 from slabsum import sssp
 from slabsum.dp import attainable_witnesses
 from slabsum.instance import SsspInstance, gen_sssp_random
+from slabsum.oracle import min_vertex_L0
 from slabsum.sssp import (build_shells, cross_sum, exact_l0, l0_bound, l0_check, merge_tree,
                           root_sphere, stage_floats, stage_indices)
+from test_sssp_witness_first import leafwalk_solve, outcome
 
 
 def seeded_system(seed: int) -> SsspInstance:
@@ -153,3 +155,21 @@ def test_solve_builds_one_exact_l0_per_certificate(monkeypatch):
         found += cert is not None
         calls.clear()
     assert found >= 5
+
+
+def test_l0_survivors_that_no_leaf_admits_leave_no_answer():
+    # the oracle's minimum L0 is below 5*delta and two listed vertices pass
+    # the integer L0 test, yet no leaf window of the grid holds either
+    # target, so the search ends with nothing found, as the leaf walk does
+    inst = SsspInstance(((61, 16, 44, 29, 11), (1, 23, 49, 48, 3)), rho=Fraction(5),
+                        delta=Fraction(1))
+    assert min_vertex_L0(inst)[0] == Fraction(1635146, 360525)
+    geo = sssp.geometry(inst, None)
+    scale = inst.n ** 2
+    w = tuple(int(scale * a / geo.axis_norm) for a in geo.axis)
+    bound = l0_bound(inst)
+    survivors = [x for _, x in attainable_witnesses(w, *sssp.l0_window(inst, geo, scale, w))
+                 if l0_check(bound, x) is not None]
+    assert len(survivors) == 2, survivors
+    assert sssp.solve(inst) is None
+    assert outcome(sssp.solve, inst) == outcome(leafwalk_solve, inst)
