@@ -7,7 +7,9 @@ and N = 4n^2, `solve-fptas --epsilon 1/(4n)`), where the center target
 hits.  Dominated instances shaped like the decide-empty workload, at n in
 {63, 80, 97} and `decide-slab --c 3`: n - 1 weights in [500, 1500) and one
 near 10^6 at a random index, so every target misses and the decision is
-one full fill.
+one full fill.  One planted row at n = 64 and N = n^2 has 1,000-bit
+weights, so quantize_ms is on record far past the 16-bit weights of the
+other rows.
 
 For each it times the whole decision, `solve_family` (decide_ms), and
 records the position of its hit (targets_scanned).  It times the steps the
@@ -64,6 +66,7 @@ from unittest import mock
 import benchlib
 
 SIZES = (128, 256, 512)
+WIDE_N, WIDE_BITS = 64, 1000
 PROBE_ONLY_SIZES = (128, 256)
 DOMINATED_SIZES = (63, 80, 97)
 SEEDS = range(5)
@@ -119,8 +122,8 @@ def measure_case(kind: str, n: int, big_n: int, seed: int) -> dict:
                                   write_instance)
     from slabsum.quantize import quantize
 
-    inst = (gen_planted(n, 16, seed) if kind == "planted"
-            else PartitionInstance(dominated_weights(n, seed)))
+    inst = (PartitionInstance(dominated_weights(n, seed)) if kind == "dominated"
+            else gen_planted(n, WIDE_BITS if kind == f"planted {WIDE_BITS}-bit" else 16, seed))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "instance.json"
         write_instance(path, inst)
@@ -219,6 +222,7 @@ MERGE = {"probe_answered": sum, "probe_fills": sum, "hits": sum, "probe_width": 
 def measure() -> list[dict]:
     cases = [("planted", n, scale, big_n) for n in SIZES
              for scale, big_n in (("c=2", n * n), ("N=4n^2", 4 * n * n))]
+    cases.append((f"planted {WIDE_BITS}-bit", WIDE_N, "c=2", WIDE_N ** 2))
     cases += [("dominated", n, "c=3", n ** 3) for n in DOMINATED_SIZES]
     cases += [("planted probe only", n, "N=n^3", n ** 3) for n in PROBE_ONLY_SIZES]
     cases += [(f"{kind} exact", n, "raw", None) for kind in ("planted", "random", "unattained")

@@ -77,6 +77,16 @@ def spy(owner, *names):
             setattr(owner, name, inner[name])
 
 
+def unpack(rev: str, dest: Path, *paths: str) -> Path:
+    """Extract paths (directories of the repository) at git revision rev
+    into dest with `git archive`; returns dest."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, *paths],
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest
+
+
 def measure_tree(script: str, src: Path) -> list[dict]:
     """The script's measurements of the slabsum in src, in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -123,11 +133,7 @@ def main(script: str, doc: str, measure, out_name: str, **settings) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"after": ROOT / "src"}
         if args.before:
-            archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.before, "src"],
-                                     check=True, capture_output=True).stdout
-            with tarfile.open(fileobj=BytesIO(archive)) as tar:
-                tar.extractall(tmp, filter="data")
-            trees = {"before": Path(tmp) / "src", **trees}
+            trees = {"before": unpack(args.before, Path(tmp), "src") / "src", **trees}
         rounds = {name: [] for name in trees}
         for i in range(ROUNDS):
             for name in list(trees)[:: 1 if i % 2 == 0 else -1]:

@@ -10,6 +10,7 @@ Floating point never participates in a verdict.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +30,35 @@ def floor_div_sqrt(a: int, b: int) -> int:
     r = math.isqrt(a * a // b)
     assert r * r * b <= a * a < (r + 1) * (r + 1) * b
     return r
+
+
+def floor_div_sqrt_each(scale: int, weights: Sequence[int], b: int) -> list[int]:
+    """[floor_div_sqrt(scale * w, b) for w in weights], from one bracket of
+    scale / sqrt(b) and two products per weight instead of one square root.
+
+    With k = 64 + bit_length(b) // 2, p = isqrt(scale^2 * 2^(2k) // b)
+    brackets the ratio, p / 2^k <= scale / sqrt(b) < (p + 1) / 2^k, checked
+    once on squares.  So floor(w * p / 2^k) and floor(w * (p + 1) / 2^k)
+    bracket floor(scale * w / sqrt(b)), and where they agree they are it.
+    They differ only where an integer lies within w / 2^k of scale * w /
+    sqrt(b), less than 2^-63 when w^2 <= b: in practice only where scale * w
+    / sqrt(b) is an integer that p / 2^k misses, as for (9, 12) at scale 5.
+    floor_div_sqrt answers those entries.
+    """
+    if b <= 0 or scale < 0 or min(weights, default=0) < 0:
+        raise ValueError("floor_div_sqrt requires a >= 0 and b > 0")
+    k = 64 + b.bit_length() // 2
+    target = scale * scale << 2 * k
+    p = math.isqrt(target // b)
+    assert p * p * b <= target < (p + 1) * (p + 1) * b
+    q = p + 1
+    below = [w * p >> k for w in weights]
+    above = [w * q >> k for w in weights]
+    if below != above:
+        for i, (lo, hi) in enumerate(zip(below, above)):
+            if lo != hi:
+                below[i] = floor_div_sqrt(scale * weights[i], b)
+    return below
 
 
 @dataclass(frozen=True)

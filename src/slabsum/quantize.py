@@ -16,7 +16,7 @@ from functools import cached_property
 from operator import mul
 
 from .instance import PartitionInstance
-from .numerics import Surd, floor_div_sqrt
+from .numerics import Surd, floor_div_sqrt_each
 
 
 class QuantizationUnderflow(ValueError):
@@ -36,8 +36,8 @@ class QuantizedNormal:
     """Quantized direction U, scale N, and |U|^2, S.U and |S|^2, which link U
     back to S.  Invariants, each checked in exact arithmetic:
       * u_k^2 |S|^2 <= N^2 s_k^2 < (u_k+1)^2 |S|^2 (floor): by quantize
-      * cos_sq in [0, 1]: on the first read of cos_sq or d_star_sq, which
-        every verdict makes
+      * cos_sq in [0, 1], as 0 <= (S.U)^2 <= |S|^2 |U|^2: on the first read
+        of cos_sq, cross_sq or d_star_sq, which every verdict makes
       * unit_gap_sq == |S/|S| - U/N|^2 >= 0: on its first read, which only
         checks make; they bound it by n / N^2 (unit_gap_bound)
     """
@@ -63,8 +63,15 @@ class QuantizedNormal:
         return cos_sq
 
     @cached_property
-    def d_star_sq(self) -> Fraction:  # the squared drift half-width
-        return Fraction(self.n, 4) * (1 - self.cos_sq)
+    def cross_sq(self) -> int:  # |S|^2 |U|^2 - (S.U)^2 = (1 - cos^2) |S|^2 |U|^2
+        dot_sq = self.dot_su * self.dot_su
+        norms_sq = self.norm_s_sq * self.norm_u_sq
+        assert 0 <= dot_sq <= norms_sq  # 0 <= cos^2 <= 1
+        return norms_sq - dot_sq
+
+    @cached_property
+    def d_star_sq(self) -> Fraction:  # the squared drift half-width, n/4 * (1 - cos^2)
+        return Fraction(self.n * self.cross_sq, 4 * self.norm_s_sq * self.norm_u_sq)
 
     @cached_property
     def unit_gap_sq(self) -> Surd:
@@ -96,9 +103,14 @@ def quantize(inst: PartitionInstance, c: int | None = None,
              big_n: int | None = None) -> QuantizedNormal:
     """Build U with entries floor(N * s_k / |S|), N = n^c unless overridden.
 
-    Exact throughout: the floors are evaluated on squares, never through a
-    floating-point square root.  Raises QuantizationUnderflow listing every
-    index whose entry would be zero.
+    Exact throughout, never through a floating-point square root.  One
+    rational bracket p / 2^k <= N / |S| < (p + 1) / 2^k, with k 64 bits
+    past the size of |S| and checked once on squares, gives every floor
+    from two products: floor(s_k p / 2^k) and floor(s_k (p + 1) / 2^k)
+    bound u_k, and where they agree they are it.  An entry where they
+    differ is floor_div_sqrt's, which checks u_k^2 |S|^2 <= (N s_k)^2 <
+    (u_k + 1)^2 |S|^2 on squares (numerics.floor_div_sqrt_each).  Raises
+    QuantizationUnderflow listing every index whose entry would be zero.
     """
     if (c is None) == (big_n is None):
         raise ValueError("give exactly one of c or big_n")
@@ -112,8 +124,7 @@ def quantize(inst: PartitionInstance, c: int | None = None,
 
     s = inst.weights
     norm_s_sq = inst.norm_sq
-    # floor_div_sqrt asserts the floor property of each entry as it goes
-    u = tuple([floor_div_sqrt(big_n * w, norm_s_sq) for w in s])
+    u = tuple(floor_div_sqrt_each(big_n, s, norm_s_sq))
     if 0 in u:
         raise QuantizationUnderflow([k for k, uk in enumerate(u) if uk == 0], big_n)
 

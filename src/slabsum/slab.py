@@ -99,8 +99,9 @@ def decide(inst: PartitionInstance, c: int | None = None, big_n: int | None = No
     dot_sx = sum(compress(inst.weights, x))
     dev2 = 2 * dot_sx - total_s  # twice the signed distance numerator S.(x - C)
     rel_error = Fraction(abs(dev2), total_s)
-    # membership in the 8*d_star slab: (S.(x-C))^2 <= (4 d_star)^2 |S|^2
-    in_outer = Fraction(dev2 * dev2) <= 64 * q.d_star_sq * q.norm_s_sq
+    # membership in the 8*d_star slab, (S.(x-C))^2 <= (4 d_star)^2 |S|^2, times
+    # 4 |U|^2: with d*^2 = n (|S|^2 |U|^2 - (S.U)^2) / (4 |S|^2 |U|^2) in integers
+    in_outer = dev2 * dev2 * q.norm_u_sq <= 16 * q.n * q.cross_sq
     return VertexFound(x=x, t_hit=t, d_star_sq=q.d_star_sq, rel_error=rel_error,
                        in_outer_slab=in_outer, targets_scanned=scan.targets_scanned)
 
