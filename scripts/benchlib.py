@@ -5,7 +5,9 @@ for the slabsum on PYTHONPATH.  Without --stages the script measures the
 tree in src/ as "after" and, with --before REV, the src/ of git revision
 REV (unpacked with `git archive` into a temporary directory) as "before",
 each in its own interpreter, and writes both, with the machine and the
-bench's settings, to its BENCH_*.json at the repository root.
+bench's settings, to its BENCH_*.json at the repository root.  The file
+names the before tree by the short hash of the commit REV resolves to, so
+`--before HEAD^` still names the same tree after later commits.
 
 Both benches time and count a stage by wrapping, with spy(), the program
 name it runs through, so a bench reads only trees that have every name it
@@ -87,6 +89,12 @@ def unpack(rev: str, dest: Path, *paths: str) -> Path:
     return dest
 
 
+def resolve(rev: str) -> str:
+    """The short hash of the commit git revision rev names."""
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", f"{rev}^{{commit}}"],
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
 def measure_tree(script: str, src: Path) -> list[dict]:
     """The script's measurements of the slabsum in src, in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -125,20 +133,21 @@ def main(script: str, doc: str, measure, out_name: str, **settings) -> None:
     if args.stages:
         json.dump(measure(), sys.stdout)
         return
+    rev = args.before and resolve(args.before)
     result = {"command": f"PYTHONPATH=src python scripts/{Path(script).name}"
-                         + (f" --before {args.before}" if args.before else ""),
+                         + (f" --before {rev}" if rev else ""),
               "machine": {"python": platform.python_version(), "cpu": cpu_model(),
                           "nproc": os.cpu_count()},
               **settings, "rounds": ROUNDS}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"after": ROOT / "src"}
-        if args.before:
-            trees = {"before": unpack(args.before, Path(tmp), "src") / "src", **trees}
+        if rev:
+            trees = {"before": unpack(rev, Path(tmp), "src") / "src", **trees}
         rounds = {name: [] for name in trees}
         for i in range(ROUNDS):
             for name in list(trees)[:: 1 if i % 2 == 0 else -1]:
                 rounds[name].append(measure_tree(script, trees[name]))
-    if args.before:
-        result["before"] = {"rev": args.before, "stages": merge_rounds(rounds["before"])}
+    if rev:
+        result["before"] = {"rev": rev, "stages": merge_rounds(rounds["before"])}
     result["after"] = {"stages": merge_rounds(rounds["after"])}
     (ROOT / out_name).write_text(json.dumps(result, indent=2) + "\n")

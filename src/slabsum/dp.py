@@ -64,20 +64,18 @@ class BudgetError(RuntimeError):
         self.cap = cap
 
 
-def check_budget(cells: int, budget_cells: int | None = None) -> None:
-    """Refuse a table of `cells` cells above the budget: budget_cells if
-    given, else $SLABSUM_BUDGET_CELLS, else DEFAULT_BUDGET_CELLS.  A
-    malformed $SLABSUM_BUDGET_CELLS, not an integer or negative, is a
-    ValueError, a usage error rather than a refusal."""
-    limit = budget_cells
-    if limit is None:
-        env = os.environ.get(BUDGET_ENV)
-        try:
-            limit = int(env) if env else DEFAULT_BUDGET_CELLS
-            if limit < 0:
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"{BUDGET_ENV} must be an integer at least 0, got {env!r}") from None
+def check_budget(cells: int) -> None:
+    """Refuse a table of `cells` cells above the budget: $SLABSUM_BUDGET_CELLS
+    if set, else DEFAULT_BUDGET_CELLS.  A malformed $SLABSUM_BUDGET_CELLS,
+    not an integer or negative, is a ValueError, a usage error rather than a
+    refusal."""
+    env = os.environ.get(BUDGET_ENV)
+    try:
+        limit = int(env) if env else DEFAULT_BUDGET_CELLS
+        if limit < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV} must be an integer at least 0, got {env!r}") from None
     if cells > limit:
         raise BudgetError(f"reach table needs {cells} cells, budget is {limit}",
                           cells=cells, cap=limit)
@@ -103,10 +101,9 @@ class ReachTable:
     The budget counts (n+1)*(cap+1) cells.
     """
 
-    def __init__(self, u: tuple[int, ...], cap: int, *, budget_cells: int | None = None,
-                 early_stop_bit: int | None = None):
+    def __init__(self, u: tuple[int, ...], cap: int, *, early_stop_bit: int | None = None):
         n = len(u)
-        check_budget((n + 1) * (cap + 1), budget_cells)
+        check_budget((n + 1) * (cap + 1))
         self.u = u
         self.cap = cap
         self.stride = max(1, math.isqrt(n))
@@ -261,7 +258,7 @@ def _probe_fill(u, tau: int, width: int) -> tuple[int | None, int, list[int]]:
     return None, d, []
 
 
-def dp_run(u, tau: int, *, budget_cells: int | None = None) -> DpRun:
+def dp_run(u, tau: int) -> DpRun:
     """Decide whether a subset of u sums to tau, and if so give the
     lexicographically smallest solution vector: nearest_attained on the
     window [tau, tau], so the probe first and, when it does not answer, an
@@ -269,17 +266,16 @@ def dp_run(u, tau: int, *, budget_cells: int | None = None) -> DpRun:
     u = tuple(u)
     if tau < 0 or tau > sum(u):
         return DpRun(None, 0)
-    _, x, table = nearest_attained(u, tau, tau, 2 * tau, budget_cells=budget_cells)
+    _, x, table = nearest_attained(u, tau, tau, 2 * tau)
     return DpRun(x, 0 if table is None else table.cells)
 
 
-def dp_decide(u, tau: int, *, budget_cells: int | None = None) -> tuple[int, ...] | None:
+def dp_decide(u, tau: int) -> tuple[int, ...] | None:
     """Witness for sum(u[i]*x[i]) == tau, or None if no subset attains it."""
-    return dp_run(u, tau, budget_cells=budget_cells).x
+    return dp_run(u, tau).x
 
 
-def attainable_witnesses(u, lo: int, hi: int, *, budget_cells: int | None = None
-                         ) -> list[tuple[int, tuple[int, ...]]]:
+def attainable_witnesses(u, lo: int, hi: int) -> list[tuple[int, tuple[int, ...]]]:
     """(tau, witness) for every tau in the window [lo, hi] that some subset
     attains, tau ascending; each witness is the one dp_decide(u, tau)
     returns.
@@ -289,7 +285,7 @@ def attainable_witnesses(u, lo: int, hi: int, *, budget_cells: int | None = None
     once, for (n+1)*(hi+1) cells, before any row is allocated.
     """
     u = tuple(u)
-    table = ReachTable(u, hi, budget_cells=budget_cells)
+    table = ReachTable(u, hi)
     taus = table.attained(lo)
     return list(zip(taus, table.witnesses(taus)))
 
@@ -327,8 +323,7 @@ def _center_out(total: int):
     return lambda t: (abs(2 * t - total), t)
 
 
-def nearest_attained(u: tuple[int, ...], lo: int, hi: int, total: int, *,
-                     budget_cells: int | None = None
+def nearest_attained(u: tuple[int, ...], lo: int, hi: int, total: int
                      ) -> tuple[int | None, tuple[int, ...] | None, ReachTable | None]:
     """(tau, x, table): the target of [lo, hi], which must hold total // 2,
     nearest total/2 (the lower on a tie) that a subset of u attains, its
@@ -339,24 +334,23 @@ def nearest_attained(u: tuple[int, ...], lo: int, hi: int, total: int, *,
     looks for total // 2; a hit is the answer.  Otherwise one ReachTable
     capped at hi, whose fill stops once total // 2 appears, answers every
     target from the last row it filled."""
-    check_budget((len(u) + 1) * (hi + 1), budget_cells)
+    check_budget((len(u) + 1) * (hi + 1))
     probe = center_probe(u, total // 2, hi)
     if probe is not None:
         return total // 2, probe[2], None
-    table = ReachTable(u, hi, budget_cells=budget_cells, early_stop_bit=total // 2)
+    table = ReachTable(u, hi, early_stop_bit=total // 2)
     tau = min(table.attained(lo), key=_center_out(total), default=None)
     return tau, None if tau is None else table.witness(tau), table
 
 
-def solve_family(q: QuantizedNormal, *, budget_cells: int | None = None) -> FamilyScan:
+def solve_family(q: QuantizedNormal) -> FamilyScan:
     """The window target nearest half the quantized total that some subset
     attains, with its lexicographically smallest witness (nearest_attained
     on the window).  targets_scanned is the hit's 1-based position in
     center-out order, or the window size when nothing hits."""
     total = q.total_u
     fam = family_window(total, q.n)
-    tau, x, _ = nearest_attained(q.u, fam.window[0], fam.window[-1], total,
-                                 budget_cells=budget_cells)
+    tau, x, _ = nearest_attained(q.u, fam.window[0], fam.window[-1], total)
     if tau is None:
         return FamilyScan(None, len(fam.window))
     key = _center_out(total)

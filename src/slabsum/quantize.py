@@ -3,9 +3,9 @@
 The weight vector S is replaced by U with entries floor(N * s_k / |S|), so U
 needs only about log2(N) bits per entry while pointing nearly the same way.
 A QuantizedNormal stores integers only.  Everything downstream is certified
-against exact values derived from them on first read: cos^2 of the angle
-between S and U, the squared drift half-width d_star_sq, and the squared gap
-between S/|S| and U/N.
+against exact values derived from them on first read: the cross term
+(1 - cos^2)|S|^2|U|^2 of the angle between S and U, the squared drift
+half-width d_star_sq, and the squared gap between S/|S| and U/N.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ class QuantizedNormal:
     """Quantized direction U, scale N, and |U|^2, S.U and |S|^2, which link U
     back to S.  Invariants, each checked in exact arithmetic:
       * u_k^2 |S|^2 <= N^2 s_k^2 < (u_k+1)^2 |S|^2 (floor): by quantize
-      * cos_sq in [0, 1], as 0 <= (S.U)^2 <= |S|^2 |U|^2: on the first read
-        of cos_sq, cross_sq or d_star_sq, which every verdict makes
+      * cos^2 in [0, 1], as 0 <= (S.U)^2 <= |S|^2 |U|^2: on the first read
+        of cross_sq or d_star_sq, which every verdict makes
       * unit_gap_sq == |S/|S| - U/N|^2 >= 0: on its first read, which only
         checks make; they bound it by n / N^2 (unit_gap_bound)
     """
@@ -55,12 +55,6 @@ class QuantizedNormal:
     @property
     def total_u(self) -> int:
         return sum(self.u)
-
-    @cached_property
-    def cos_sq(self) -> Fraction:  # of the angle between S and U
-        cos_sq = Fraction(self.dot_su * self.dot_su, self.norm_s_sq * self.norm_u_sq)
-        assert 0 <= cos_sq <= 1
-        return cos_sq
 
     @cached_property
     def cross_sq(self) -> int:  # |S|^2 |U|^2 - (S.U)^2 = (1 - cos^2) |S|^2 |U|^2

@@ -81,8 +81,8 @@ class VertexFound:
 SlabVerdict = EmptyInner | VertexFound
 
 
-def decide(inst: PartitionInstance, c: int | None = None, big_n: int | None = None, *,
-           budget_cells: int | None = None) -> SlabVerdict:
+def decide(inst: PartitionInstance, c: int | None = None,
+           big_n: int | None = None) -> SlabVerdict:
     """Run the full decision: quantize, scan targets nearest-to-center first,
     certify whichever alternative holds.
 
@@ -91,7 +91,7 @@ def decide(inst: PartitionInstance, c: int | None = None, big_n: int | None = No
     available certificate.
     """
     q = quantize(inst, c=c, big_n=big_n)
-    scan = solve_family(q, budget_cells=budget_cells)
+    scan = solve_family(q)
     if scan.hit is None:
         return EmptyInner(d_star_sq=q.d_star_sq, targets_scanned=scan.targets_scanned)
     t, x = scan.hit
@@ -106,8 +106,7 @@ def decide(inst: PartitionInstance, c: int | None = None, big_n: int | None = No
                        in_outer_slab=in_outer, targets_scanned=scan.targets_scanned)
 
 
-def decide_epsilon(inst: PartitionInstance, epsilon, *,
-                   budget_cells: int | None = None) -> SlabVerdict:
+def decide_epsilon(inst: PartitionInstance, epsilon) -> SlabVerdict:
     """Tolerance-driven entry: picks the smallest usable scale N >= n/epsilon.
 
     N is floored at n^2; any integer scale is accepted by the geometry, the
@@ -120,7 +119,7 @@ def decide_epsilon(inst: PartitionInstance, epsilon, *,
     n = inst.n
     big_n = max(n * n, math.ceil(Fraction(n) / epsilon))
     try:
-        return decide(inst, big_n=big_n, budget_cells=budget_cells)
+        return decide(inst, big_n=big_n)
     except BudgetError as exc:
         raise BudgetError(
             f"epsilon={epsilon} requires scale N={big_n}: {exc}",

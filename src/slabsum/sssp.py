@@ -243,16 +243,14 @@ def curvature_term(inst: SsspInstance) -> Fraction:
 class SsspCertificate:
     """A vertex that survived all three validation stages.
 
-    accepted certificates always satisfy l0_exact <= 5 * delta, checked in
-    rational arithmetic; chosen_m / chosen_b are the grid guesses that led
-    to the hit.
+    l0_exact <= 5 * delta always holds, checked in rational arithmetic;
+    chosen_m / chosen_b are the grid guesses that led to the hit.
     """
 
     x: tuple[int, ...]
     chosen_m: tuple[Fraction, ...]
     chosen_b: Fraction
     l0_exact: Fraction
-    accepted: bool
     curvature: Fraction
     grid_size: int
 
@@ -434,7 +432,6 @@ def stage_indices(geo: Geometry, dist_root: float,
 
 
 def solve(inst: SsspInstance, *, leaf_budget: int = 10_000_000, c: int = 2,
-          budget_cells: int | None = None,
           geo: Geometry | None = None) -> SsspCertificate | None:
     """Search over cross-term guesses M and the circumference guess B,
     witness first.
@@ -484,7 +481,7 @@ def solve(inst: SsspInstance, *, leaf_budget: int = 10_000_000, c: int = 2,
     if zeros:
         raise QuantizationUnderflow(zeros, scale)
     total_w = sum(w)
-    check_budget((n + 1) * (total_w + 1), budget_cells)
+    check_budget((n + 1) * (total_w + 1))
     window = l0_window(inst, geo, scale, w)
     bound = l0_bound(inst)
     slack = 3 * float(inst.delta)
@@ -516,7 +513,7 @@ def solve(inst: SsspInstance, *, leaf_budget: int = 10_000_000, c: int = 2,
         return None
 
     best = None  # (leaf key, x, B); tau breaks key ties, ascending
-    for tau, x in attainable_witnesses(w, *window, budget_cells=budget_cells):
+    for tau, x in attainable_witnesses(w, *window):
         ds = l0_check(bound, x)
         if ds is None:
             continue
@@ -530,7 +527,7 @@ def solve(inst: SsspInstance, *, leaf_budget: int = 10_000_000, c: int = 2,
     (m_idx, _, _), x, b_val = best
     m_vals = tuple(g.value(i) for g, i in zip(geo.grids, m_idx))
     return SsspCertificate(x=x, chosen_m=m_vals, chosen_b=Fraction(b_val),
-                           l0_exact=exact_l0(inst, x), accepted=True,
+                           l0_exact=exact_l0(inst, x),
                            curvature=curvature_term(inst), grid_size=geo.grid_size)
 
 

@@ -1,6 +1,9 @@
-"""benchlib.spy, the wrapper both stage benches time and count through."""
+"""benchlib.spy, the wrapper both stage benches time and count through, and
+benchlib.resolve, which names the before tree in their BENCH files."""
 
 import importlib.util
+import shutil
+import subprocess
 import types
 from pathlib import Path
 
@@ -70,3 +73,21 @@ def test_nested_method_then_class_spies_restore_both():
     assert Counter.add is add
     assert [result for *_, result in made["Counter"]] == [c]
     assert [result for *_, result in adds["add"]] == [15]
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_resolve_names_the_commit_not_the_revision_as_typed(tmp_path, monkeypatch):
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t",
+                               "-c", "user.email=t@t", "-c", "commit.gpgsign=false", *args],
+                              check=True, capture_output=True, text=True).stdout.strip()
+
+    git("init", "-q")
+    git("commit", "-q", "--allow-empty", "-m", "first")
+    first = git("rev-parse", "--short", "HEAD")
+    git("commit", "-q", "--allow-empty", "-m", "second")
+    monkeypatch.setattr(benchlib, "ROOT", tmp_path)
+    assert benchlib.resolve("HEAD^") == first
+    assert benchlib.resolve("HEAD") == git("rev-parse", "--short", "HEAD") != first
+    with pytest.raises(subprocess.CalledProcessError):
+        benchlib.resolve("HEAD~5")

@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 
 from slabsum import dp
 from slabsum.bench import scan_window
-from slabsum.dp import (BudgetError, ReachTable, dp_decide, dp_run,
+from slabsum.dp import (BudgetError, ReachTable, attainable_witnesses, dp_decide, dp_run,
                         family_window, solve_family)
 from slabsum.instance import PartitionInstance
 from slabsum.oracle import all_subset_sums
 from slabsum.quantize import quantize
 
 
-def table_decide(u, tau, *, budget_cells=None):
+def table_decide(u, tau):
     """The single-target decision on a table alone, without the complement
     probe: one table capped at tau whose fill stops at the first row that
     reaches tau; the reference dp_run and the per-target scans are checked
@@ -21,7 +21,7 @@ def table_decide(u, tau, *, budget_cells=None):
     u = tuple(u)
     if tau < 0 or tau > sum(u):
         return None
-    table = ReachTable(u, tau, budget_cells=budget_cells, early_stop_bit=tau)
+    table = ReachTable(u, tau, early_stop_bit=tau)
     return table.witness(tau) if table.attained(tau) else None
 
 
@@ -88,10 +88,18 @@ def test_lexicographically_smallest_witness():
     assert dp_decide([1, 2, 3], 3) == (0, 0, 1)
 
 
-def test_budget_error():
+def test_budget_error(monkeypatch):
+    monkeypatch.setenv(dp.BUDGET_ENV, "10")
     with pytest.raises(BudgetError) as err:
-        dp_run([5, 5, 5], 10, budget_cells=10)
+        dp_run([5, 5, 5], 10)
     assert err.value.cells == 4 * 11
+
+
+class Unfillable(int):
+    """A weight that fails the test once a row fill reads it."""
+
+    def __le__(self, other):
+        raise AssertionError("a row was filled past the budget")
 
 
 def test_budget_env_override(monkeypatch):
@@ -100,6 +108,18 @@ def test_budget_env_override(monkeypatch):
         dp_run([5, 5, 5], 10)
     monkeypatch.setenv(dp.BUDGET_ENV, "1000000")
     assert dp_run([5, 5, 5], 10).x is not None
+    # a table and the all-targets scan refuse on their own, before any row
+    u, cap = (5, 5, 5), 10
+    need = (len(u) + 1) * (cap + 1)
+    monkeypatch.setenv(dp.BUDGET_ENV, str(need - 1))
+    for build in (lambda w: ReachTable(w, cap), lambda w: attainable_witnesses(w, 0, cap)):
+        with pytest.raises(BudgetError) as err:
+            build(tuple(map(Unfillable, u)))
+        assert (err.value.cells, err.value.cap) == (need, need - 1)
+    monkeypatch.setenv(dp.BUDGET_ENV, str(need))
+    assert ReachTable(u, cap).attained() == [0, 5, 10]
+    assert attainable_witnesses(u, 0, cap) == [(0, (0, 0, 0)), (5, (0, 0, 1)),
+                                               (10, (0, 1, 1))]
 
 
 def test_family_window_shapes():

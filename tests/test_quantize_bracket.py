@@ -88,7 +88,8 @@ def test_a_bracket_off_by_one_fails_its_check(off, monkeypatch):
 
 def old_forms(inst, q, x):
     """d*^2 and outer-slab membership as Fraction expressions of cos^2."""
-    d_star_sq = Fraction(q.n, 4) * (1 - q.cos_sq)
+    cos_sq = Fraction(q.dot_su * q.dot_su, q.norm_s_sq * q.norm_u_sq)
+    d_star_sq = Fraction(q.n, 4) * (1 - cos_sq)
     dev2 = 2 * sum(compress(inst.weights, x)) - inst.total
     return d_star_sq, Fraction(dev2 * dev2) <= 64 * d_star_sq * q.norm_s_sq
 

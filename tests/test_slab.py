@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from slabsum import numerics
+from slabsum import dp, numerics
 from slabsum.dp import BudgetError
 from slabsum.instance import PartitionInstance, gen_planted, gen_random
 from slabsum.oracle import slab_population
@@ -121,10 +121,11 @@ def test_epsilon_api_rejects_bad_epsilon():
         decide_epsilon(inst, Fraction(3, 2))
 
 
-def test_epsilon_api_budget_reports_scale():
+def test_epsilon_api_budget_reports_scale(monkeypatch):
     inst = gen_planted(12, 5, seed=9)
+    monkeypatch.setenv(dp.BUDGET_ENV, "100")
     with pytest.raises(BudgetError, match="N="):
-        decide_epsilon(inst, Fraction(1, 10), budget_cells=100)
+        decide_epsilon(inst, Fraction(1, 10))
 
 
 def test_verdict_json_round_trip_shape():

@@ -21,11 +21,11 @@ from slabsum.slab import decide, dump_verdict
 from test_dp import table_decide
 
 
-def per_target_family(q, *, budget_cells=None) -> FamilyScan:
+def per_target_family(q) -> FamilyScan:
     fam = family_window(q.total_u, q.n)
     order = sorted(fam.window, key=lambda tau: (abs(2 * tau - q.total_u), tau))
     for pos, tau in enumerate(order, 1):
-        x = table_decide(q.u, tau, budget_cells=budget_cells)
+        x = table_decide(q.u, tau)
         if x is not None:
             return FamilyScan((fam.t_of(tau), x), pos)
     return FamilyScan(None, len(order))
@@ -129,7 +129,8 @@ def test_decide_budget_is_checked_before_allocation(monkeypatch):
     need = (q.n + 1) * (fam.window[-1] + 1)
     # the per-target scan fit this budget: its center table is smaller
     assert (q.n + 1) * (center + 1) < need
-    assert per_target_family(q, budget_cells=need - 1).hit is not None
+    monkeypatch.setenv(dp.BUDGET_ENV, str(need - 1))
+    assert per_target_family(q).hit is not None
 
     def no_rows(*args, **kwargs):
         raise AssertionError("a row was allocated past the budget")
@@ -137,7 +138,7 @@ def test_decide_budget_is_checked_before_allocation(monkeypatch):
     monkeypatch.setattr(dp, "ReachTable", no_rows)
     monkeypatch.setattr(dp, "center_probe", no_rows)
     with pytest.raises(BudgetError) as err:
-        decide(inst, c=2, budget_cells=need - 1)
+        decide(inst, c=2)
     assert err.value.cells == need
     assert err.value.cap == need - 1
 

@@ -15,7 +15,7 @@ from itertools import product
 
 import pytest
 
-from slabsum import sssp
+from slabsum import dp, sssp
 from slabsum.dp import BudgetError, dp_decide
 from slabsum.instance import SsspInstance, gen_planted, gen_sssp_random
 from slabsum.oracle import eval_L0, min_vertex_L0
@@ -24,7 +24,7 @@ from slabsum.sssp import (GridBudgetError, SsspCertificate, cross_sum, curvature
                           exact_l0, grid_cardinality, result_to_json, solve)
 
 
-def leafwalk_solve(inst, *, eps_b=None, leaf_budget=10_000_000, c=2, budget_cells=None):
+def leafwalk_solve(inst, *, eps_b=None, leaf_budget=10_000_000, c=2):
     geo = sssp.geometry(inst, eps_b)
     if geo.grid_size > leaf_budget:
         raise GridBudgetError(
@@ -61,14 +61,14 @@ def leafwalk_solve(inst, *, eps_b=None, leaf_budget=10_000_000, c=2, budget_cell
         if l0 > five_delta:
             return None
         return SsspCertificate(x=x, chosen_m=m_vals, chosen_b=Fraction(b_val),
-                               l0_exact=l0, accepted=True, curvature=curvature,
+                               l0_exact=l0, curvature=curvature,
                                grid_size=geo.grid_size)
 
     witness_memo = {}
 
     def witness(tau):
         if tau not in witness_memo:
-            witness_memo[tau] = dp_decide(w, tau, budget_cells=budget_cells)
+            witness_memo[tau] = dp_decide(w, tau)
         return witness_memo[tau]
 
     def leaf(m_vals, y_lo, y_hi, b_val):
@@ -214,16 +214,19 @@ def test_p4_grids_are_refused_by_default_and_sound_when_allowed():
     assert min(answers.values()) >= 5, answers
 
 
-def test_one_table_budget_is_checked_before_allocation():
+def test_one_table_budget_is_checked_before_allocation(monkeypatch):
     inst = FIXTURES["c10"]
     geo = sssp.geometry(inst, None)
     w = [int(inst.n ** 2 * a / geo.axis_norm) for a in geo.axis]
     need = (inst.n + 1) * (sum(w) + 1)
+    monkeypatch.setenv(dp.BUDGET_ENV, str(need - 1))
     with pytest.raises(BudgetError) as info:
-        solve(inst, budget_cells=need - 1)
+        solve(inst)
     assert info.value.cells == need
-    assert verdict_bytes(inst, solve(inst, budget_cells=need)) == \
-        verdict_bytes(inst, solve(inst))
+    monkeypatch.setenv(dp.BUDGET_ENV, str(need))
+    at_need = verdict_bytes(inst, solve(inst))
+    monkeypatch.delenv(dp.BUDGET_ENV)
+    assert at_need == verdict_bytes(inst, solve(inst))
 
 
 def test_exact_l0_equals_the_per_shell_sum():
